@@ -12,30 +12,63 @@ their leave-one-out sibling products:
 * ``opt``       division where cancellative, a top-2 extremal scan where
                 multiplication is fully ordered, cumulative products otherwise.
 
-A single evaluation is sequential; distinct evaluations over the same
-immutable circuit may run in parallel threads with private tapes.
+Division is skipped at a product whose value is zero although none of its
+children is: the value underflowed, and dividing it would lose the product
+of the other children.
+
+``forward`` and ``opt`` run on the layered array engine (``layers``) when
+the semiring declares ``array_ops``, and as the Python loops below
+otherwise; ``naive``, ``cancel`` and ``dynamic`` always run as Python loops,
+the reference the engine is tested against. Either way one evaluation runs
+on one thread.
+
+Thread safety: evaluations over the same immutable circuit may run in
+parallel threads, each with its own tape. The circuit's compiled layers are
+filled lazily on first use; threads that race the fill each build the same
+arrays and one of them is kept, so no lock is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import layers
 from .circuits import LIT, PROD, SUM, TRUE, Circuit, determinism_budget, validate
 from .errors import ConfigError, StructureError, UnsupportedOperationError
 from .literals import LiteralMap
 from .semirings import LEFT
 
 
-@dataclass
 class ForwardTape:
-    """Per-node values in forward order; the root value is the model count."""
+    """Per-node values in forward order; the root value is the model count.
 
-    values: list
-    root: int
+    A tape from the array engine holds its values as an array and builds the
+    list of Python scalars only when ``values`` is first read.
+    """
+
+    __slots__ = ("root", "_values", "_array", "_ops")
+
+    def __init__(self, values, root, *, array=None, ops=None):
+        self.root = root
+        self._values = values
+        self._array = array
+        self._ops = ops
+
+    @property
+    def values(self) -> list:
+        if self._values is None:
+            self._values = self._ops.to_list(self._array)
+        return self._values
 
     @property
     def root_value(self):
-        return self.values[self.root]
+        if self._values is None:
+            return self._ops.item(self._array, self.root)
+        return self._values[self.root]
+
+    def array(self, ops):
+        """The node values as an array of ``ops``' layout."""
+        if self._ops is not ops:
+            self._array, self._ops = ops.from_list(self.values), ops
+        return self._array
 
 
 def structural_gate(circuit: Circuit, semiring, trust_deterministic=False,
@@ -70,6 +103,10 @@ def forward(circuit: Circuit, labels: LiteralMap, semiring, *, check=True,
     """Evaluate every node bottom-up; the root equals the model count."""
     if check:
         structural_gate(circuit, semiring, trust_deterministic)
+    ops = getattr(semiring, "array_ops", None)
+    if ops is not None:
+        return ForwardTape(None, circuit.root,
+                           array=layers.forward(circuit, labels, ops), ops=ops)
     add, mul = semiring.add, semiring.mul
     zero, one = semiring.zero, semiring.one
     kinds, lits, children = circuit.kinds, circuit.lits, circuit.children
@@ -108,6 +145,11 @@ def _fold_leaves(circuit, adj, semiring) -> LiteralMap:
             l = lits[i]
             grads.set(l, add(grads.get(l), adj[i]))
     return grads
+
+
+def _underflowed(values, i, ch, zero) -> bool:
+    """Product i is zero although none of its children is."""
+    return values[i] == zero and all(values[c] != zero for c in ch)
 
 
 def _note_stats(stats, circuit, extra_slots, **counts):
@@ -154,7 +196,8 @@ def backward_cancel(circuit: Circuit, tape: ForwardTape, semiring,
     """Divide the node value by each child where the child is cancellative.
 
     Falls back to a per-child recomputation for non-cancellative children
-    (e.g. zero-valued children under prob); fallbacks are counted.
+    (e.g. zero-valued children under prob) and for every child of an
+    underflowed product; fallbacks are counted.
     """
     if not semiring.supports_division:
         raise UnsupportedOperationError(
@@ -162,7 +205,7 @@ def backward_cancel(circuit: Circuit, tape: ForwardTape, semiring,
             "use the dynamic or naive variant"
         )
     add, mul, div = semiring.add, semiring.mul, semiring.try_divide
-    one = semiring.one
+    zero, one = semiring.zero, semiring.one
     values = tape.values
     kinds, children = circuit.kinds, circuit.children
     adj = _init_adjoints(circuit, semiring)
@@ -177,10 +220,11 @@ def backward_cancel(circuit: Circuit, tape: ForwardTape, semiring,
             a = adj[i]
             ch = children[i]
             node_val = values[i]
+            underflow = _underflowed(values, i, ch, zero)
             m = len(ch)
             for idx in range(m):
                 c = ch[idx]
-                loo = div(node_val, values[c])
+                loo = None if underflow else div(node_val, values[c])
                 if loo is None:
                     fallbacks += 1
                     loo = one
@@ -252,14 +296,22 @@ def backward_optimized(circuit: Circuit, tape: ForwardTape, semiring,
                        stats=None) -> LiteralMap:
     """Cancellation and ordering where available, cumulative products otherwise.
 
-    Per product child: (a) divide the node value by a cancellative child;
-    (b) under fully ordered multiplication the node value itself is the
-    leave-one-out product for every child except a unique extremal one,
-    which takes the second extremal instead; (c) otherwise fill in from the
-    node's cumulative prefix/suffix products, computed at most once.
+    Per product child: (a) divide the node value by a cancellative child,
+    unless the node underflowed; (b) under fully ordered multiplication the
+    node value itself is the leave-one-out product for every child except a
+    unique extremal one, which takes the second extremal instead; (c)
+    otherwise fill in from the node's cumulative prefix/suffix products,
+    computed at most once.
+    Runs on the array engine when the semiring declares ``array_ops``.
     """
+    ops = getattr(semiring, "array_ops", None)
+    if ops is not None:
+        grads, counts = layers.backward_opt(circuit, tape.array(ops), semiring,
+                                            ops)
+        _note_stats(stats, circuit, 2 * circuit.max_arity, **counts)
+        return grads
     add, mul = semiring.add, semiring.mul
-    one = semiring.one
+    zero, one = semiring.zero, semiring.one
     has_div = semiring.supports_division
     div = semiring.try_divide
     fully_ordered = semiring.fully_ordered_mul
@@ -281,13 +333,14 @@ def backward_optimized(circuit: Circuit, tape: ForwardTape, semiring,
             a = adj[i]
             ch = children[i]
             node_val = values[i]
+            can_div = has_div and not _underflowed(values, i, ch, zero)
             m = len(ch)
             scan = None
             cumulative_ready = False
             for idx in range(m):
                 c = ch[idx]
                 cval = values[c]
-                loo = div(node_val, cval) if has_div else None
+                loo = div(node_val, cval) if can_div else None
                 if loo is not None:
                     divisions += 1
                 elif fully_ordered:

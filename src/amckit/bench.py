@@ -116,12 +116,10 @@ def measure(circuit_id: str, circuit: Circuit, labels, semiring, variants,
 
 
 def run_suite(named_circuits, semiring, variants, repeat=10, warmup=1,
-              seed=1234, trust_deterministic=False, parallel=False):
+              seed=1234, trust_deterministic=False):
     """Benchmark a list of (id, circuit or exception) pairs.
 
     Failures become records with the error column set; the run continues.
-    With ``parallel`` distinct circuits run on worker threads, each with
-    private tapes (timings then reflect contended wall clock).
     """
     def one(item):
         circuit_id, circuit = item
@@ -140,13 +138,7 @@ def run_suite(named_circuits, semiring, variants, repeat=10, warmup=1,
                                 0.0, 0.0, 0,
                                 error=str(exc).replace(",", ";"))]
 
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor() as pool:
-            chunks = list(pool.map(one, named_circuits))
-    else:
-        chunks = [one(item) for item in named_circuits]
-    return [rec for chunk in chunks for rec in chunk]
+    return [rec for item in named_circuits for rec in one(item)]
 
 
 def best_backward_ms(records, variant: str) -> float:

@@ -43,7 +43,8 @@ class Circuit:
 
     __slots__ = ("kinds", "lits", "children", "root", "num_vars",
                  "deterministic_by_construction", "_scopes", "_smooth",
-                 "_decomposable", "_det_cache", "_max_arity", "_edge_count")
+                 "_decomposable", "_det_cache", "_max_arity", "_edge_count",
+                 "_layers")
 
     def __init__(self, kinds, lits, children, root, num_vars,
                  deterministic_by_construction=False):
@@ -88,6 +89,7 @@ class Circuit:
         self._det_cache = {}
         self._max_arity = max((len(c) for c in self.children), default=0)
         self._edge_count = sum(len(c) for c in self.children)
+        self._layers = None  # compiled by layers.layers_of on first use
 
     @property
     def node_count(self) -> int:
@@ -638,8 +640,22 @@ def compile_to_mods(phi, variables=None) -> Circuit:
     return models_to_circuit(enumerate_models(phi, variables), num_vars)
 
 
+def _balanced(op, parts):
+    """op folded over parts as a balanced tree, so its depth is logarithmic."""
+    while len(parts) > 1:
+        paired = [op(parts[j], parts[j + 1]) for j in range(0, len(parts) - 1, 2)]
+        if len(parts) % 2:
+            paired.append(parts[-1])
+        parts = paired
+    return parts[0]
+
+
 def circuit_to_formula(circuit: Circuit):
-    """Structural formula of the circuit (shared subtrees stay shared)."""
+    """Structural formula of the circuit (shared subtrees stay shared).
+
+    Wide sums and products become balanced ``Or``/``And`` trees, so the
+    recursive formula functions stay far from the recursion limit.
+    """
     kinds, lits, children = circuit.kinds, circuit.lits, circuit.children
     out = [None] * circuit.node_count
     for i, k in enumerate(kinds):
@@ -649,14 +665,9 @@ def circuit_to_formula(circuit: Circuit):
             out[i] = Top()
         elif k == FALSE:
             out[i] = Bottom()
-        elif k == SUM:
-            acc = None
-            for c in children[i]:
-                acc = out[c] if acc is None else Or(acc, out[c])
-            out[i] = Bottom() if acc is None else acc
+        elif not children[i]:
+            out[i] = Bottom() if k == SUM else Top()
         else:
-            acc = None
-            for c in children[i]:
-                acc = out[c] if acc is None else And(acc, out[c])
-            out[i] = Top() if acc is None else acc
+            out[i] = _balanced(Or if k == SUM else And,
+                               [out[c] for c in children[i]])
     return out[circuit.root]

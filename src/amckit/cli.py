@@ -118,7 +118,6 @@ def _cmd_bench(args, out):
     records = bench_mod.run_suite(
         named, semiring, variants, repeat=args.repeat, warmup=args.warmup,
         seed=args.seed, trust_deterministic=args.trust_deterministic,
-        parallel=args.parallel,
     )
     out.write(bench_mod.records_to_csv(records))
     return 0
@@ -184,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeat", type=int, default=10)
     p_bench.add_argument("--warmup", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=1234)
-    p_bench.add_argument("--parallel", action="store_true")
     p_bench.add_argument("--trust-deterministic", action="store_true",
                          dest="trust_deterministic")
 

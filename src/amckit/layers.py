@@ -1,0 +1,284 @@
+"""Layered array evaluation: forward and the ``opt`` backward on numpy arrays.
+
+A circuit is compiled once into groups of nodes that share a height (the
+longest path down to a leaf), a kind and an arity, split where they would
+exceed ``GROUP_EDGES`` edges. Each group holds a
+``(arity, nodes)`` matrix of child ids, so a forward pass is one gather and
+one reduction per group in ascending height, and a backward pass walks the
+groups top-down with one gather, a vectorized leave-one-out step and one
+``ufunc.at`` scatter into the adjoints, then folds leaves per literal. The
+compiled groups are cached on the immutable circuit. (After Maene,
+Derkinderen & Zuidberg Dos Martires, *KLay: Accelerating Arithmetic
+Circuits for Neurosymbolic AI*, ICLR 2025.)
+
+A semiring opts in with an ``array_ops`` object describing its arithmetic on
+arrays; the Python loops in ``backprop`` stay the reference. Reductions and
+scans run child after child in child order, as the Python loops do, so the
+forward values and every leave-one-out product are the same floats.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+
+import numpy as np
+
+from .circuits import LIT, PROD, SUM, TRUE
+from .literals import LiteralMap, literal_order
+
+
+class UfuncOps:
+    """Semiring arithmetic on arrays of one dtype, one ufunc per operation.
+
+    Element arrays have the node (or child) axis last; ``divide`` is given
+    for semirings with cancellation, whose only non-cancellative element is
+    ``zero``.
+    """
+
+    def __init__(self, dtype, add, mul, zero, one, divide=None):
+        self.dtype = dtype
+        self.add = add
+        self.mul = mul
+        self.zero = zero
+        self.one = one
+        self.divide = divide
+
+    def full(self, shape, value):
+        return np.full(shape, value, self.dtype)
+
+    def from_list(self, xs):
+        return np.array(xs, dtype=self.dtype)
+
+    def to_list(self, arr):
+        return arr.tolist()
+
+    def item(self, arr, i):
+        return arr[i].item()
+
+    def add_scan(self, m):
+        return self.add.accumulate(m, axis=0)
+
+    def mul_scan(self, m):
+        return self.mul.accumulate(m, axis=0)
+
+    def add_at(self, acc, idx, vals):
+        self.add.at(acc, idx, vals)
+
+
+class DualOps:
+    """Dual numbers as a ``(2, ...)`` float array of primals and tangents."""
+
+    divide = None
+
+    def __init__(self, element):
+        self.element = element
+        self.zero = element(0.0, 0.0)
+        self.one = element(1.0, 0.0)
+
+    def full(self, shape, value):
+        return np.stack([np.full(shape, value.primal), np.full(shape, value.tangent)])
+
+    def from_list(self, xs):
+        return np.array([[x.primal for x in xs], [x.tangent for x in xs]],
+                        dtype=np.float64).reshape(2, len(xs))
+
+    def to_list(self, arr):
+        return [self.element(p, t) for p, t in zip(arr[0].tolist(), arr[1].tolist())]
+
+    def item(self, arr, i):
+        return self.element(arr[0, i].item(), arr[1, i].item())
+
+    @staticmethod
+    def mul(x, y):
+        # the product rule in DualValue's operand order, so results match it
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+        np.multiply(x[0], y[0], out=out[0])
+        np.multiply(x[0], y[1], out=out[1])
+        out[1] += y[0] * x[1]
+        return out
+
+    @staticmethod
+    def add_scan(m):
+        return np.add.accumulate(m, axis=-2)
+
+    @staticmethod
+    def mul_scan(m):
+        # from one, as the Python loops: one * x differs from x where the
+        # primal is infinite (its tangent picks up inf * 0)
+        (p, t), out = m, np.empty_like(m)
+        prev_p, prev_t = np.ones(m.shape[-1]), np.zeros(m.shape[-1])
+        for j, (out_p, out_t) in enumerate(zip(out[0], out[1])):
+            np.multiply(prev_p, p[j], out=out_p)
+            np.multiply(prev_p, t[j], out=out_t)
+            out_t += p[j] * prev_t
+            prev_p, prev_t = out_p, out_t
+        return out
+
+    @staticmethod
+    def add_at(acc, idx, vals):
+        vals = np.broadcast_to(vals, (2,) + idx.shape)
+        np.add.at(acc[0], idx, vals[0])
+        np.add.at(acc[1], idx, vals[1])
+
+
+# edges per group at most, where a node's arity allows: a pass holds a few
+# arrays of this size at once, so wide circuits do not raise peak memory
+GROUP_EDGES = 1 << 14
+
+
+class Group:
+    """Sum or product nodes of one height and arity, children as a matrix."""
+
+    __slots__ = ("kind", "ids", "children")
+
+    def __init__(self, kind, ids, children):
+        self.kind = kind
+        self.ids = ids
+        self.children = children  # (arity, len(ids)) node ids
+
+
+class Layers:
+    """A circuit compiled for the array engine (see the module docstring)."""
+
+    __slots__ = ("groups", "leaf_ids", "leaf_slots", "one_ids")
+
+    def __init__(self, circuit):
+        kinds, lits, children = circuit.kinds, circuit.lits, circuit.children
+        n = circuit.node_count
+        kind = np.array(kinds, dtype=np.int64)
+        arity = np.fromiter(map(len, children), dtype=np.int64, count=n)
+        flat = np.fromiter(chain.from_iterable(children), dtype=np.int64,
+                           count=circuit.edge_count)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(arity, out=offsets[1:])
+        height = [0] * n
+        get = height.__getitem__
+        for i, ch in enumerate(children):
+            if ch:
+                height[i] = 1 + max(map(get, ch))
+
+        inner = np.flatnonzero(arity > 0)
+        h = np.array(height, dtype=np.int64)[inner]
+        k, a = kind[inner], arity[inner]
+        order = np.lexsort((inner, a, k, h))
+        inner, h, k, a = inner[order], h[order], k[order], a[order]
+        cut = np.flatnonzero((np.diff(h) != 0) | (np.diff(k) != 0)
+                             | (np.diff(a) != 0)) + 1
+        self.groups = []
+        for same in np.split(inner, cut) if inner.size else ():
+            m = int(arity[same[0]])
+            step = max(1, GROUP_EDGES // m)
+            for lo in range(0, len(same), step):
+                ids = same[lo:lo + step]
+                slots = offsets[ids][None, :] + np.arange(m)[:, None]
+                self.groups.append(Group(kinds[ids[0]], ids, flat[slots]))
+
+        self.leaf_ids = np.flatnonzero(kind == LIT)
+        nv = circuit.num_vars
+        leaf_lits = np.array([lits[i] for i in self.leaf_ids], dtype=np.int64)
+        # canonical literal order x1..xn, -x1..-xn
+        self.leaf_slots = np.where(leaf_lits > 0, leaf_lits - 1, nv - leaf_lits - 1)
+        # false leaves and childless sums keep the zero values start with
+        self.one_ids = np.flatnonzero((kind == TRUE) | ((kind == PROD) & (arity == 0)))
+
+
+def layers_of(circuit) -> Layers:
+    """The circuit's compiled groups, built on first use and cached.
+
+    Circuits are immutable; two threads racing the first use both build
+    the same arrays and one result is kept.
+    """
+    layers = circuit._layers
+    if layers is None:
+        layers = circuit._layers = Layers(circuit)
+    return layers
+
+
+def forward(circuit, labels, ops):
+    """Per-node values of the circuit under the labeling, as an array."""
+    lay = layers_of(circuit)
+    nv = circuit.num_vars
+    lit_values = ops.from_list([labels.get(l) for l in literal_order(nv)])
+    values = ops.full(circuit.node_count, ops.zero)
+    with np.errstate(all="ignore"):
+        values[..., lay.leaf_ids] = lit_values[..., lay.leaf_slots]
+        values[..., lay.one_ids] = ops.full(len(lay.one_ids), ops.one)
+        for g in lay.groups:
+            scan = ops.add_scan if g.kind == SUM else ops.mul_scan
+            values[..., g.ids] = scan(values[..., g.children])[..., -1, :]
+    return values
+
+
+def backward_opt(circuit, values, semiring, ops):
+    """The ``opt`` backward pass on arrays.
+
+    Per product child the leave-one-out product is, as in the Python loop:
+    the node value divided by the child where the child is cancellative
+    and the node did not underflow; under fully ordered multiplication the
+    node value, or the second extremal child for a unique extremal one;
+    otherwise the node's cumulative prefix/suffix products. Returns the
+    gradient and the loop's strategy counts.
+    """
+    lay = layers_of(circuit)
+    adj = ops.full(circuit.node_count, ops.zero)
+    adj[..., [circuit.root]] = ops.full(1, ops.one)
+    has_div = semiring.supports_division
+    ordered = semiring.fully_ordered_mul
+    divisions = ordered_hits = fallbacks = 0
+    with np.errstate(all="ignore"):
+        for g in reversed(lay.groups):
+            a = adj[..., None, g.ids]
+            if g.kind == SUM:
+                ops.add_at(adj, g.children, a)
+                continue
+            node = values[..., None, g.ids]
+            child = values[..., g.children]
+            if has_div:
+                zero_child = child == ops.zero
+                # a zero product of nonzero children underflowed
+                rest = zero_child | ((node == ops.zero) & ~zero_child.any(axis=0))
+                loo = ops.divide(node, child)
+            else:
+                rest, loo = np.ones(g.children.shape, dtype=bool), None
+            hits = int(np.count_nonzero(rest))
+            divisions += rest.size - hits
+            if hits and ordered:
+                ordered_hits += hits
+                alt = _ordered_loo(ops, node, child)
+                loo = alt if loo is None else np.where(rest, alt, loo)
+            elif hits:
+                cols = rest.any(axis=0)
+                fallbacks += int(np.count_nonzero(cols))
+                if loo is None:
+                    loo = _cumulative_loo(ops, child)
+                else:
+                    alt = _cumulative_loo(ops, child[:, cols])
+                    loo[:, cols] = np.where(rest[:, cols], alt, loo[:, cols])
+            ops.add_at(adj, g.children, ops.mul(a, loo))
+        grads = ops.full(2 * circuit.num_vars, ops.zero)
+        ops.add_at(grads, lay.leaf_slots, adj[..., lay.leaf_ids])
+    out = LiteralMap.from_order(circuit.num_vars, ops.zero, ops.to_list(grads))
+    counts = {"divisions": divisions, "ordered_hits": ordered_hits,
+              "fallbacks": fallbacks}
+    return out, counts
+
+
+def _ordered_loo(ops, node, child):
+    """Node value, or the second extremal child for a unique extremal one."""
+    first = ops.mul.reduce(child, axis=0)
+    is_first = child == first
+    unique = is_first & (np.count_nonzero(is_first, axis=0) == 1)
+    second = ops.mul.reduce(np.where(is_first, ops.one, child), axis=0)
+    return np.where(unique, second, node)
+
+
+def _cumulative_loo(ops, child):
+    """Product of each child's siblings: exclusive suffix times prefix."""
+    one = ops.full(child.shape[-1], ops.one)
+    prefix = np.empty_like(child)
+    prefix[..., 0, :] = one
+    prefix[..., 1:, :] = ops.mul_scan(child[..., :-1, :])
+    suffix = np.empty_like(child)
+    suffix[..., -1, :] = one
+    suffix[..., :-1, :] = ops.mul_scan(child[..., :0:-1, :])[..., ::-1, :]
+    return ops.mul(suffix, prefix)

@@ -38,6 +38,16 @@ class LiteralMap:
         self._pos = [fill] * num_vars
         self._neg = [fill] * num_vars
 
+    @classmethod
+    def from_order(cls, num_vars: int, fill, values) -> "LiteralMap":
+        """Map from 2 * num_vars values listed in canonical literal order."""
+        out = cls.__new__(cls)
+        out.num_vars = num_vars
+        out.fill = fill
+        out._pos = list(values[:num_vars])
+        out._neg = list(values[num_vars:])
+        return out
+
     def get(self, lit: int):
         v = lit if lit > 0 else -lit
         if v > self.num_vars:

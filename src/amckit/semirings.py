@@ -9,6 +9,10 @@ exploits:
 * ``is_ordered_mul(a, b)`` reports ``"left"`` when ``a * b == a``,
   ``"right"`` when ``a * b == b``, ``None`` otherwise.
 
+A semiring whose elements fit numpy arrays also declares ``array_ops``, the
+same arithmetic on arrays; ``forward`` and the ``opt`` backward then run on
+the layered array engine (see ``layers``).
+
 Instances hold no mutable state and can be shared freely between threads.
 """
 
@@ -17,7 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, UnsupportedOperationError
+from .layers import DualOps, UfuncOps
 
 LEFT = "left"
 RIGHT = "right"
@@ -132,6 +139,7 @@ class Semiring:
     supports_negation = False
     zero = None
     one = None
+    array_ops = None
 
     @property
     def needs_determinism(self) -> bool:
@@ -198,6 +206,9 @@ class BoolSemiring(Semiring):
     fully_ordered_mul = True
     zero = False
     one = True
+    # True is the only cancellative element, and a / True = a and True
+    array_ops = UfuncOps(np.bool_, np.logical_or, np.logical_and, zero, one,
+                         divide=np.logical_and)
 
     def add(self, a, b):
         return a or b
@@ -266,6 +277,8 @@ class ProbSemiring(Semiring):
     supports_negation = True  # signed escape used only for variable gradients
     zero = 0.0
     one = 1.0
+    array_ops = UfuncOps(np.float64, np.add, np.multiply, zero, one,
+                         divide=np.divide)
 
     def add(self, a, b):
         return a + b
@@ -297,6 +310,8 @@ class LogSemiring(Semiring):
     supports_division = True
     zero = NEG_INF
     one = 0.0
+    array_ops = UfuncOps(np.float64, np.logaddexp, np.add, zero, one,
+                         divide=np.subtract)
 
     def add(self, a, b):
         return logaddexp(a, b)
@@ -329,6 +344,8 @@ class ViterbiSemiring(Semiring):
     supports_division = True
     zero = 0.0
     one = 1.0
+    array_ops = UfuncOps(np.float64, np.maximum, np.multiply, zero, one,
+                         divide=np.divide)
 
     def add(self, a, b):
         return a if a >= b else b
@@ -358,6 +375,8 @@ class TropicalSemiring(Semiring):
     supports_division = True
     zero = NEG_INF
     one = 0.0
+    array_ops = UfuncOps(np.float64, np.maximum, np.add, zero, one,
+                         divide=np.subtract)
 
     def add(self, a, b):
         return a if a >= b else b
@@ -389,6 +408,7 @@ class FuzzySemiring(Semiring):
     fully_ordered_mul = True
     zero = 0.0
     one = 1.0
+    array_ops = UfuncOps(np.float64, np.maximum, np.minimum, zero, one)
 
     def add(self, a, b):
         return a if a >= b else b
@@ -413,6 +433,7 @@ class GradSemiring(Semiring):
     supports_negation = True
     zero = DualValue(0.0, 0.0)
     one = DualValue(1.0, 0.0)
+    array_ops = DualOps(DualValue)
 
     def add(self, a, b):
         return a + b
@@ -446,6 +467,9 @@ class GF2Semiring(Semiring):
     supports_negation = True
     zero = 0
     one = 1
+    # 1 is the only cancellative element, and a / 1 = a & 1
+    array_ops = UfuncOps(np.int64, np.bitwise_xor, np.bitwise_and, zero, one,
+                         divide=np.bitwise_and)
 
     def add(self, a, b):
         return a ^ b

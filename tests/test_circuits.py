@@ -1,18 +1,21 @@
 """Circuit parsing, weights, scopes, smoothing, and validation tests."""
 
 import os
+import random
+import sys
 
 import pytest
 
 from amckit import (And, Bottom, Circuit, CircuitBuilder, Lit, LiteralMap,
                     Not, Or, ParseError, StructureError, Top,
                     circuit_to_formula, compile_to_mods, compute_scopes,
-                    enumerate_models, formula_variables, forward,
-                    make_semiring, oracle_amc, parse_d4,
-                    parse_weights, smooth, validate, write_d4)
+                    enumerate_models, formula_variables, forward, grad_amc,
+                    make_semiring, models_to_circuit, oracle_amc, oracle_grad,
+                    parse_d4, parse_weights, smooth, validate, write_d4)
 from amckit.circuits import FALSE, LIT, PROD, SUM, TRUE
 
-from conftest import random_formula, random_labels, values_close
+from conftest import (maps_close, random_formula, random_labels,
+                      values_close)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -311,3 +314,32 @@ def test_write_then_parse_preserves_semantics(rng, tmp_path):
         a1 = forward(c, labels, prob, check=False).root_value
         a2 = forward(c2, labels, prob, check=False).root_value
         assert abs(a1 - a2) <= 1e-9 * max(1.0, abs(a1))
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_circuit_to_formula_of_wide_dnf_stays_shallow():
+    # chained Or nodes over 200 cubes nest 200 deep, which is how a
+    # 12-variable DNF of 3000 models overflowed the oracle's recursion;
+    # a balanced tree nests 8 deep, so 100 frames to spare are plenty
+    rng = random.Random(12)
+    nv = 8
+    models = [[v if x >> (v - 1) & 1 else -v for v in range(1, nv + 1)]
+              for x in rng.sample(range(1 << nv), 200)]
+    c = models_to_circuit(models, nv)
+    prob = make_semiring("prob")
+    labels = random_labels("prob", nv, rng)
+    phi = circuit_to_formula(c)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        want = oracle_grad(phi, labels, prob)
+    finally:
+        sys.setrecursionlimit(limit)
+    _, got = grad_amc(c, labels, prob)
+    assert maps_close("prob", got, want)

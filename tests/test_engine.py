@@ -1,0 +1,259 @@
+"""Array engine against the Python loops on random decision-DNNFs.
+
+Circuits are smooth decision-DNNFs with shared nodes, or non-smooth ones
+passed through ``smooth()``; weights include 0, 1, the smallest subnormal,
+1e-300 and 1e300, so products underflow and overflow. The Python loops run
+through ``PythonLoop``, the same semiring without ``array_ops``.
+"""
+
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from amckit import (CircuitBuilder, DualValue, LiteralMap, Semiring,
+                    backward_cancel, backward_dynamic, backward_naive,
+                    backward_optimized, forward, make_semiring, smooth)
+from amckit.backprop import VARIANTS
+
+ARRAY_SEMIRINGS = ("bool", "prob", "log", "viterbi", "tropical", "fuzzy",
+                   "grad", "gf2")
+# same strategy per edge as the Python opt loop: the same floats, up to the
+# order in which adjoints add up, which max and or do not see
+SAME_AS_OPT = ("bool", "gf2", "fuzzy", "viterbi", "tropical")
+# against recomputed or cumulative products: division rounds differently
+SAME_AS_REFERENCE = ("bool", "gf2", "fuzzy")
+REL = 1e-12
+EXTREME = (0.0, 1.0, 5e-324, 1e-300, 1e300)
+
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+class PythonLoop(Semiring):
+    """A semiring without ``array_ops``: forward and opt run as Python loops."""
+
+    def __init__(self, base):
+        for attr in ("name", "additively_idempotent", "supports_division",
+                     "fully_ordered_mul", "supports_negation", "zero", "one",
+                     "add", "mul", "try_divide", "is_ordered_mul"):
+            setattr(self, attr, getattr(base, attr))
+
+
+@st.composite
+def decision_dnnfs(draw, smooth_only):
+    """Decisions on a variable and decomposed products, over 1..6 vars."""
+    n = draw(st.integers(1, 6))
+    b = CircuitBuilder()
+    made = {}
+
+    def subset(vs):
+        if smooth_only:
+            return vs
+        return tuple(v for v in vs if draw(st.integers(0, 3)))
+
+    def split(vs, at_least=1):
+        parts = {}
+        for i, v in enumerate(vs):
+            key = i if i < at_least else draw(st.integers(0, 2))
+            parts.setdefault(key, []).append(v)
+        return [build(tuple(sorted(p))) for p in parts.values()]
+
+    def build(vs):
+        if not vs:
+            return b.true()
+        pool = made.setdefault(vs, [])
+        if pool and draw(st.integers(0, 2)) == 0:
+            return pool[draw(st.integers(0, len(pool) - 1))]
+        if len(vs) == 1:
+            v = vs[0]
+            choice = draw(st.integers(0, 2))
+            node = (b.literal(v), b.literal(-v),
+                    b.sum([b.literal(v), b.literal(-v)]))[choice]
+        elif draw(st.booleans()):
+            x = vs[draw(st.integers(0, len(vs) - 1))]
+            rest = tuple(v for v in vs if v != x)
+            node = b.sum([b.product([b.literal(x)] + split(subset(rest))),
+                          b.product([b.literal(-x)] + split(subset(rest)))])
+        else:
+            node = b.product(split(vs, at_least=2))
+        pool.append(node)
+        return node
+
+    root = build(tuple(range(1, n + 1)))
+    c = b.build(root, num_vars=n, deterministic_by_construction=True)
+    return c if smooth_only else smooth(c)
+
+
+def weights(extreme):
+    uniform = st.floats(0.05, 1.0)
+    return st.one_of(st.sampled_from(EXTREME if extreme else (0.0, 1.0)),
+                     uniform)
+
+
+def as_label(name, w, t):
+    """One drawn weight in the semiring's encoding (t: a dual's tangent)."""
+    if name == "bool":
+        return w != 0.0
+    if name == "gf2":
+        return int(w != 0.0)
+    if name in ("viterbi", "fuzzy"):
+        # probabilities: a max over products that overflowed next to a zero
+        # (inf * 0 = nan) has no order-free answer
+        return min(w, 1.0)
+    if name in ("log", "tropical"):
+        return math.log(w) if w > 0.0 else -math.inf
+    if name == "grad":
+        return DualValue(w, t)
+    return w
+
+
+@st.composite
+def cases(draw, smooth_only, extreme):
+    """(circuit, weights): two weights per literal, the second a tangent."""
+    c = draw(decision_dnnfs(smooth_only))
+    size = 4 * c.num_vars
+    return c, draw(st.lists(weights(extreme), min_size=size, max_size=size))
+
+
+def labeling(name, c, ws):
+    n = c.num_vars
+    labels = LiteralMap(n, make_semiring(name).one)
+    for i, lit in enumerate(labels.literals()):
+        labels.set(lit, as_label(name, ws[i], ws[2 * n + i]))
+    return labels
+
+
+def same(name, a, b, exact):
+    """a == b for semirings in exact, else equal to REL relative."""
+    if name in exact:
+        return a == b
+    if name == "grad":
+        return same("prob", a.primal, b.primal, exact) and \
+            same("prob", a.tangent, b.tangent, exact)
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return True
+    if math.isinf(a) or math.isinf(b) or math.isnan(a) or math.isnan(b):
+        return False
+    scale = max(abs(a), abs(b))
+    if name in ("log", "tropical"):
+        # a log value's absolute error is its count's relative error
+        scale = max(scale, 1.0)
+    return abs(a - b) <= REL * scale
+
+
+def same_maps(name, got, want, exact):
+    return got.num_vars == want.num_vars and all(
+        same(name, got.get(l), want.get(l), exact) for l in got.literals())
+
+
+def check_against_python_opt(name, c, labels):
+    base = make_semiring(name)
+    loop = PythonLoop(base)
+    tape = forward(c, labels, base)
+    want_root = forward(c, labels, loop).root_value
+    assert same(name, tape.root_value, want_root, SAME_AS_OPT), \
+        (tape.root_value, want_root)
+    got_stats, want_stats = {}, {}
+    got = backward_optimized(c, tape, base, stats=got_stats)
+    want = backward_optimized(c, tape, loop, stats=want_stats)
+    assert same_maps(name, got, want, SAME_AS_OPT), (got, want)
+    assert got_stats == want_stats
+
+
+@pytest.mark.parametrize("name", ARRAY_SEMIRINGS)
+@SETTINGS
+@given(case=cases(smooth_only=True, extreme=True))
+def test_array_opt_matches_python_opt_smooth(name, case):
+    c, ws = case
+    check_against_python_opt(name, c, labeling(name, c, ws))
+
+
+@pytest.mark.parametrize("name", ARRAY_SEMIRINGS)
+@SETTINGS
+@given(case=cases(smooth_only=False, extreme=True))
+def test_array_opt_matches_python_opt_smoothed(name, case):
+    c, ws = case
+    check_against_python_opt(name, c, labeling(name, c, ws))
+
+
+@pytest.mark.parametrize("name", ARRAY_SEMIRINGS)
+@SETTINGS
+@given(case=cases(smooth_only=False, extreme=False))
+def test_array_opt_matches_reference_loops(name, case):
+    """No product leaves the normal range, so every strategy agrees."""
+    c, ws = case
+    labels = labeling(name, c, ws)
+    base = make_semiring(name)
+    tape = forward(c, labels, base)
+    got = backward_optimized(c, tape, base)
+    for reference in (backward_naive, backward_dynamic):
+        want = reference(c, tape, base)
+        assert same_maps(name, got, want, SAME_AS_REFERENCE), \
+            (reference.__name__, got, want)
+
+
+def test_tape_values_are_python_scalars():
+    b = CircuitBuilder()
+    c = b.build(b.sum([b.product([b.literal(1), b.literal(2)]),
+                       b.product([b.literal(-1), b.literal(2)])]))
+    for name, kind in (("prob", float), ("bool", bool), ("gf2", int),
+                       ("grad", DualValue)):
+        S = make_semiring(name)
+        tape = forward(c, LiteralMap(2, S.one), S)
+        assert type(tape.root_value) is kind
+        assert all(type(v) is kind for v in tape.values), name
+        grads = VARIANTS["opt"](c, tape, S)
+        assert all(type(v) is kind for v in grads.values_in_order()), name
+
+
+def test_layers_are_compiled_once_per_circuit():
+    b = CircuitBuilder()
+    c = b.build(b.product([b.literal(1), b.literal(2)]))
+    prob = make_semiring("prob")
+    forward(c, LiteralMap(2, 0.5), prob)
+    compiled = c._layers
+    assert compiled is not None
+    forward(c, LiteralMap(2, 0.25), make_semiring("log"))
+    assert c._layers is compiled
+
+
+@pytest.mark.parametrize("arity", [2, 5])
+def test_underflowed_product_is_not_divided(arity):
+    # the product of the weights underflows to 0.0, and dividing it by a
+    # child would give 0.0 where the gradient is the product of the others
+    b = CircuitBuilder()
+    c = b.build(b.product([b.literal(v) for v in range(1, arity + 1)]))
+    prob = make_semiring("prob")
+    labels = LiteralMap(arity, 1.0)
+    for v in range(1, arity + 1):
+        labels.set(v, 1e-200 if v <= 2 else 0.5)
+    tape = forward(c, labels, prob)
+    assert tape.root_value == 0.0
+    want = backward_naive(c, tape, prob)
+    assert want.get(1) == 1e-200 * 0.5 ** (arity - 2)
+    for semiring in (prob, PythonLoop(prob)):
+        stats = {}
+        got = backward_optimized(c, tape, semiring, stats=stats)
+        assert got == want
+        assert stats["divisions"] == 0 and stats["fallbacks"] == 1
+    stats = {}
+    assert backward_cancel(c, tape, prob, stats=stats) == want
+    assert stats["fallbacks"] == arity
+    assert backward_dynamic(c, tape, prob) == want
+
+
+def test_overflowed_dual_product_matches_python_loop():
+    # the inner product's primal overflows to inf, and the Python loop
+    # multiplies it into one, where its tangent meets inf * 0
+    b = CircuitBuilder()
+    c = b.build(b.product([b.product([b.literal(1), b.literal(2)]),
+                           b.literal(3)]))
+    labels = LiteralMap(3, DualValue(1.0, 0.0))
+    for v, primal in ((1, 1e300), (2, 1e300), (3, 0.5)):
+        labels.set(v, DualValue(primal, 1.0))
+    assert math.isnan(forward(c, labels, make_semiring("grad")).root_value
+                      .tangent)
+    check_against_python_opt("grad", c, labels)
