@@ -137,22 +137,26 @@ def enumerate_models(phi, variables=None):
     return out
 
 
+def _sum_models(models, vs, labels: LiteralMap, semiring):
+    """Sum over model masks of the product of their literal labels over vs."""
+    add, mul = semiring.add, semiring.mul
+    total = semiring.zero
+    for mask in models:
+        term = semiring.one
+        for v in vs:
+            term = mul(term, labels.get(v if (mask >> (v - 1)) & 1 else -v))
+        total = add(total, term)
+    return total
+
+
 def oracle_amc(phi, labels: LiteralMap, semiring, variables=None):
     """Sum over models of the product of member-literal labels."""
     if variables is None:
         variables = formula_variables(phi)
     _check_budget(variables)
     vs = sorted(variables)
-    add, mul = semiring.add, semiring.mul
-    total = semiring.zero
-    for mask in _mask_iter(vs):
-        if not evaluate(phi, mask):
-            continue
-        term = semiring.one
-        for v in vs:
-            term = mul(term, labels.get(v if (mask >> (v - 1)) & 1 else -v))
-        total = add(total, term)
-    return total
+    models = (mask for mask in _mask_iter(vs) if evaluate(phi, mask))
+    return _sum_models(models, vs, labels, semiring)
 
 
 def oracle_grad(phi, labels: LiteralMap, semiring, variables=None) -> LiteralMap:
@@ -161,17 +165,27 @@ def oracle_grad(phi, labels: LiteralMap, semiring, variables=None) -> LiteralMap
     The conditioned count for literal l enumerates over the remaining
     variables only, matching the convention that conditioning removes the
     variable from scope. Literals of variables the formula never mentions
-    get the additive identity.
+    get the additive identity. Conditioning on l is evaluating phi with l
+    true, so phi is evaluated once per total assignment and each
+    conditioned count reads those truths, summed in ``oracle_amc``'s order.
     """
     if variables is None:
         variables = formula_variables(phi)
     _check_budget(variables)
-    num_vars = max(variables, default=0)
-    out = LiteralMap(num_vars, semiring.zero)
-    for v in sorted(variables):
-        rest = set(variables) - {v}
-        for lit in (v, -v):
-            out.set(lit, oracle_amc(condition(phi, lit), labels, semiring, rest))
+    vs = sorted(variables)
+    n = len(vs)
+    # truth of phi per assignment, indexed by its _mask_iter position
+    sat = bytearray(evaluate(phi, mask) for mask in _mask_iter(vs))
+    out = LiteralMap(max(vs, default=0), semiring.zero)
+    for k, v in enumerate(vs):
+        rest = vs[:k] + vs[k + 1:]
+        # position bit of v; the rest's bits above it move up by one
+        bit = 1 << (n - 1 - k)
+        low = bit - 1
+        for lit, value in ((v, bit), (-v, 0)):
+            models = (mask for c, mask in enumerate(_mask_iter(rest))
+                      if sat[((c & ~low) << 1) | value | (c & low)])
+            out.set(lit, _sum_models(models, rest, labels, semiring))
     return out
 
 

@@ -15,6 +15,10 @@ A semiring opts in with an ``array_ops`` object describing its arithmetic on
 arrays; the Python loops in ``backprop`` stay the reference. Reductions and
 scans run child after child in child order, as the Python loops do, so the
 forward values and every leave-one-out product are the same floats.
+
+``sat_counts`` runs the Boolean forward and backward on the same groups for
+a batch of assignments at once, 64 per ``uint64`` word, and counts which
+literal-conditioned circuits each assignment satisfies.
 """
 
 from __future__ import annotations
@@ -282,3 +286,130 @@ def _cumulative_loo(ops, child):
     suffix[..., -1, :] = one
     suffix[..., :-1, :] = ops.mul_scan(child[..., :0:-1, :])[..., ::-1, :]
     return ops.mul(suffix, prefix)
+
+
+# words gathered per block at most (8 MiB): a group of GROUP_EDGES edges
+# would otherwise gather 128 MiB for a chunk of 65,536 assignments
+BLOCK_WORDS = 1 << 20
+_ALL = ~np.uint64(0)
+
+
+def sat_counts(circuit, draws):
+    """Boolean pass over a batch of assignments, with bits as samples.
+
+    ``draws`` is a ``(rows, num_vars)`` bool array, one assignment per row.
+    Returns the number of rows that satisfy the circuit and an int64 array
+    holding, for each literal in canonical order, the number of rows whose
+    Boolean gradient is true there: the literal-conditioned circuit is
+    satisfied. Every node holds one bit per row (nodes x rows/8 bytes for
+    values and as much for adjoints). Products take their leave-one-out
+    values from prefix and suffix ANDs, and adjoints are OR-ed into
+    children. The root adjoint covers only the real rows, so the padding
+    bits of the last word count for nothing.
+    """
+    lay = layers_of(circuit)
+    rows, nv = draws.shape
+    lits = _pack_rows(draws)
+    words = lits.shape[1]
+    values = np.zeros((circuit.node_count, words), dtype=np.uint64)
+    values[lay.leaf_ids] = np.concatenate([lits, ~lits])[lay.leaf_slots]
+    values[lay.one_ids] = _ALL
+    for g in lay.groups:
+        reduce = np.bitwise_or.reduce if g.kind == SUM else np.bitwise_and.reduce
+        for cols in _word_slices(g, words):
+            values[g.ids, cols] = reduce(values[g.children, cols], axis=0)
+
+    real = _pack_rows(np.ones((rows, 1), dtype=bool))[0]
+    adj = np.zeros_like(values)
+    adj[circuit.root] = real
+    for g in reversed(lay.groups):
+        scatter = _OrScatter(g.children.ravel())
+        parent = g.ids[scatter.order % len(g.ids)]
+        for cols in _word_slices(g, words):
+            contrib = adj[parent, cols]
+            if g.kind == PROD:
+                loo = _siblings_and(values[g.children, cols])
+                contrib &= loo.reshape(contrib.shape)[scatter.order]
+            scatter.apply(adj, contrib, cols)
+
+    by_literal = np.zeros((2 * nv, words), dtype=np.uint64)
+    leaves = _OrScatter(lay.leaf_slots)
+    leaves.apply(by_literal, adj[lay.leaf_ids[leaves.order]], slice(None))
+    root = values[circuit.root] & real
+    return int(_popcount(root[None])[0]), _popcount(by_literal)
+
+
+def _pack_rows(bits):
+    """``(rows, cols)`` bools as ``(cols, words)`` uint64, zero-padded."""
+    rows, cols = bits.shape
+    words = -(-rows // 64)
+    packed = np.zeros((cols, 8 * words), dtype=np.uint8)
+    packed[:, :-(-rows // 8)] = np.packbits(np.ascontiguousarray(bits.T), axis=1)
+    return packed.view(np.uint64)
+
+
+def _popcount(words):
+    """Set bits in each row of a ``(n, words)`` uint64 array."""
+    return np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1,
+                                                             dtype=np.int64)
+
+
+def _word_slices(g, words):
+    """Slices of the word axis that gather at most ``BLOCK_WORDS`` words."""
+    step = max(1, BLOCK_WORDS // g.children.size)
+    return [slice(lo, lo + step) for lo in range(0, words, step)]
+
+
+def _siblings_and(child):
+    """AND of each child's siblings: its exclusive prefix AND suffix."""
+    # row by row: ufunc.accumulate over the child axis is several times
+    # slower on these arrays
+    loo = np.empty_like(child)
+    loo[0] = _ALL
+    for j in range(1, len(child)):
+        np.bitwise_and(loo[j - 1], child[j - 1], out=loo[j])
+    suffix = child[-1].copy()
+    for j in range(len(child) - 2, -1, -1):
+        loo[j] &= suffix
+        suffix &= child[j]
+    return loo
+
+
+class _OrScatter:
+    """OR rows into targets that may repeat.
+
+    Rows come sorted by target (``order``); each run of equal targets is
+    OR-ed into its first row in a pairwise tree, ceil(log2(run)) steps,
+    and the run heads are OR-ed into their targets, which are distinct.
+    On rows of many words ``ufunc.at`` and ``ufunc.reduceat`` are several
+    times slower.
+    """
+
+    __slots__ = ("order", "targets", "heads", "steps")
+
+    def __init__(self, targets):
+        self.order = np.argsort(targets, kind="stable")
+        ordered = targets[self.order]
+        n = len(ordered)
+        first = np.ones(n, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        self.heads = np.flatnonzero(first)
+        self.targets = ordered[self.heads]
+        runs = np.diff(np.append(self.heads, n))
+        rank = np.arange(n) - np.repeat(self.heads, runs)
+        left = np.repeat(runs, runs) - rank  # rows from here to the run's end
+        self.steps = []
+        d = 1
+        while d < runs.max(initial=0):
+            src = np.flatnonzero((rank % (2 * d) == 0) & (left > d))
+            self.steps.append((src, src + d))
+            d *= 2
+
+    def apply(self, acc, rows, cols):
+        """OR each row into its target's ``cols`` in ``acc``.
+
+        ``rows`` are in ``order``, so sorted by target; they are overwritten.
+        """
+        for src, other in self.steps:
+            rows[src] |= rows[other]
+        acc[self.targets, cols] |= rows[self.heads]

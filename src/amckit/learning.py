@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backprop import grad_amc, structural_gate
-from .circuits import LIT, PROD, SUM, TRUE, Circuit, CircuitBuilder
+from .circuits import PROD, Circuit, CircuitBuilder
 from .errors import AmckitError
-from .literals import LiteralMap
+from .layers import sat_counts
+from .literals import LiteralMap, literal_order
 from .semirings import NEG_INF, DualValue, make_semiring
 
 _BOOL = make_semiring("bool")
@@ -146,80 +147,6 @@ def mpe_gradient(circuit: Circuit, params: BernoulliParams,
     return grads
 
 
-def _bool_pass_counts(circuit: Circuit, sample_matrix):
-    """Vectorized boolean forward+backward over a batch of sampled labelings.
-
-    sample_matrix is (rows, num_vars) bool. Returns (root_sat_count,
-    per-literal sat counts as two arrays pos/neg of length num_vars).
-    """
-    kinds, lits, children = circuit.kinds, circuit.lits, circuit.children
-    n = circuit.node_count
-    rows = sample_matrix.shape[0]
-    values = [None] * n
-    for i, k in enumerate(kinds):
-        if k == LIT:
-            l = lits[i]
-            col = sample_matrix[:, (l if l > 0 else -l) - 1]
-            values[i] = col if l > 0 else ~col
-        elif k == SUM:
-            acc = np.zeros(rows, dtype=bool)
-            for c in children[i]:
-                acc = acc | values[c]
-            values[i] = acc
-        elif k == PROD:
-            acc = np.ones(rows, dtype=bool)
-            for c in children[i]:
-                acc = acc & values[c]
-            values[i] = acc
-        else:
-            values[i] = (np.ones if k == TRUE else np.zeros)(rows, dtype=bool)
-
-    adj = [None] * n
-    zeros = np.zeros(rows, dtype=bool)
-    adj[circuit.root] = np.ones(rows, dtype=bool)
-    for i in range(n - 1, -1, -1):
-        a = adj[i]
-        if a is None:
-            adj[i] = a = zeros
-        k = kinds[i]
-        if k == SUM:
-            for c in children[i]:
-                prev = adj[c]
-                adj[c] = a if prev is None else (prev | a)
-        elif k == PROD:
-            ch = children[i]
-            m = len(ch)
-            prefixes = []
-            acc = np.ones(rows, dtype=bool)
-            for c in ch:
-                prefixes.append(acc)
-                acc = acc & values[c]
-            acc = np.ones(rows, dtype=bool)
-            for idx in range(m - 1, -1, -1):
-                c = ch[idx]
-                contrib = a & acc & prefixes[idx]
-                prev = adj[c]
-                adj[c] = contrib if prev is None else (prev | contrib)
-                acc = acc & values[c]
-
-    nv = circuit.num_vars
-    pos = np.zeros(nv, dtype=np.int64)
-    neg = np.zeros(nv, dtype=np.int64)
-    seen = {}
-    for i, k in enumerate(kinds):
-        if k == LIT and adj[i] is not None:
-            l = lits[i]
-            prev = seen.get(l)
-            seen[l] = adj[i] if prev is None else (prev | adj[i])
-    for l, sat in seen.items():
-        count = int(sat.sum())
-        if l > 0:
-            pos[l - 1] += count
-        else:
-            neg[-l - 1] += count
-    return int(values[circuit.root].sum()), pos, neg
-
-
 _SAMPLE_BLOCK = 4096
 
 
@@ -248,13 +175,15 @@ def _uniform_rows(seed: int, start: int, rows: int, nv: int):
 
 def indecater_estimate(circuit: Circuit, params: BernoulliParams,
                        batch: SampleBatch):
-    """Unbiased sampled gradient via boolean passes on Bernoulli draws.
+    """Unbiased sampled gradient via Boolean passes on Bernoulli draws.
 
-    For each sample the boolean gradient marks which conditioned circuits
+    For each sample the Boolean gradient marks which conditioned circuits
     are satisfied; averaging over samples estimates the probability
-    gradient. Returns ``(p_hat, g_hat, stderr)``; cost is linear in circuit
-    size per sample. Fixed seeds give bit-identical results regardless of
-    chunking.
+    gradient. Returns ``(p_hat, g_hat, stderr)``. Each chunk of samples is
+    one bit-packed Boolean forward and backward on the circuit's compiled
+    groups (``layers.sat_counts``): cost is linear in circuit size per
+    64 samples, and memory is about nodes x chunk/4 bytes. Fixed seeds give
+    bit-identical results regardless of chunking.
     """
     if batch.count <= 0:
         raise ValueError("sample batch is empty")
@@ -263,25 +192,22 @@ def indecater_estimate(circuit: Circuit, params: BernoulliParams,
     nv = circuit.num_vars
     probs = np.asarray(params.probs[:nv], dtype=np.float64)
     total = batch.count
-    pos = np.zeros(nv, dtype=np.int64)
-    neg = np.zeros(nv, dtype=np.int64)
+    counts = np.zeros(2 * nv, dtype=np.int64)
     root_count = 0
     start = 0
     while start < total:
         rows = min(batch.chunk, total - start)
         draws = _uniform_rows(batch.seed, start, rows, nv) < probs
-        r, p, ng = _bool_pass_counts(circuit, draws)
+        r, c = sat_counts(circuit, draws)
         root_count += r
-        pos += p
-        neg += ng
+        counts += c
         start += rows
     g_hat = LiteralMap(nv, 0.0)
     stderr = LiteralMap(nv, 0.0)
-    for v in range(1, nv + 1):
-        for lit, count in ((v, pos[v - 1]), (-v, neg[v - 1])):
-            mean = count / total
-            g_hat.set(lit, mean)
-            stderr.set(lit, math.sqrt(mean * (1.0 - mean) / total))
+    for lit, count in zip(literal_order(nv), counts):
+        mean = count / total
+        g_hat.set(lit, mean)
+        stderr.set(lit, math.sqrt(mean * (1.0 - mean) / total))
     return root_count / total, g_hat, stderr
 
 
@@ -368,6 +294,23 @@ class _CubeFactory:
                             deterministic_by_construction=True)
 
 
+def _cube_circuit(m, diagonal) -> Circuit:
+    """One pair cube per set upper-triangle entry of m, plus a single-positive
+    cube for each row whose off-diagonal parity differs from diagonal[i]."""
+    n = m.shape[0]
+    fac = _CubeFactory(n)
+    cubes = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m[i][j]:
+                cubes.append(fac.pair_cube(i + 1, j + 1))
+    for i in range(n):
+        row_parity = int(m[i].sum() - m[i][i]) & 1
+        if row_parity != int(diagonal[i]):
+            cubes.append(fac.single_cube(i + 1))
+    return fac.build(cubes)
+
+
 def matrix_to_circuit(matrix) -> Circuit:
     """Circuit whose GF(2) second-derivative matrix equals a symmetric bit matrix.
 
@@ -381,18 +324,7 @@ def matrix_to_circuit(matrix) -> Circuit:
     if (m != m.T).any():
         raise ValueError("matrix must be symmetric: entry (i, j) and (j, i) "
                          "share their unique model")
-    n = m.shape[0]
-    fac = _CubeFactory(n)
-    cubes = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j]:
-                cubes.append(fac.pair_cube(i + 1, j + 1))
-    for i in range(n):
-        row_parity = int(m[i].sum() - m[i][i]) & 1
-        if row_parity != int(m[i][i]):
-            cubes.append(fac.single_cube(i + 1))
-    return fac.build(cubes)
+    return _cube_circuit(m, np.diag(m))
 
 
 def matrix_vec_to_circuit(matrix, vector) -> Circuit:
@@ -412,15 +344,4 @@ def matrix_vec_to_circuit(matrix, vector) -> Circuit:
         raise ValueError("vector length must match the matrix size")
     if not np.isin(v, (0, 1)).all():
         raise ValueError("vector entries must be bits")
-    n = m.shape[0]
-    fac = _CubeFactory(n)
-    cubes = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j]:
-                cubes.append(fac.pair_cube(i + 1, j + 1))
-    for i in range(n):
-        row_parity = int(m[i].sum() - m[i][i]) & 1
-        if row_parity != int(v[i]):
-            cubes.append(fac.single_cube(i + 1))
-    return fac.build(cubes)
+    return _cube_circuit(m, v)

@@ -1,13 +1,15 @@
-"""Shared helpers: random formulas, labelings, and tolerance-aware compares."""
+"""Shared helpers: random formulas and circuits, labelings, and tolerance-aware
+compares."""
 
 import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from amckit import (And, Bottom, DualValue, Lit, LiteralMap, Not, Or,
-                    Polynomial, Top, compile_to_mods, formula_variables,
-                    make_semiring)
+from amckit import (And, Bottom, CircuitBuilder, DualValue, Lit, LiteralMap,
+                    Not, Or, Polynomial, Top, compile_to_mods,
+                    formula_variables, make_semiring, smooth)
 
 ALL_SEMIRINGS = ("bool", "nat", "prob", "log", "viterbi", "tropical", "fuzzy",
                  "grad", "gf2", "sens")
@@ -70,6 +72,53 @@ def formula_pool(seed, count, sizes):
         phi = random_formula(rng, rng.choice(sizes))
         pool.append((phi, max(formula_variables(phi))))
     return pool
+
+
+# --- random circuits -----------------------------------------------------------
+
+@st.composite
+def decision_dnnfs(draw, smooth_only):
+    """Decisions on a variable and decomposed products, over 1..6 vars."""
+    n = draw(st.integers(1, 6))
+    b = CircuitBuilder()
+    made = {}
+
+    def subset(vs):
+        if smooth_only:
+            return vs
+        return tuple(v for v in vs if draw(st.integers(0, 3)))
+
+    def split(vs, at_least=1):
+        parts = {}
+        for i, v in enumerate(vs):
+            key = i if i < at_least else draw(st.integers(0, 2))
+            parts.setdefault(key, []).append(v)
+        return [build(tuple(sorted(p))) for p in parts.values()]
+
+    def build(vs):
+        if not vs:
+            return b.true()
+        pool = made.setdefault(vs, [])
+        if pool and draw(st.integers(0, 2)) == 0:
+            return pool[draw(st.integers(0, len(pool) - 1))]
+        if len(vs) == 1:
+            v = vs[0]
+            choice = draw(st.integers(0, 2))
+            node = (b.literal(v), b.literal(-v),
+                    b.sum([b.literal(v), b.literal(-v)]))[choice]
+        elif draw(st.booleans()):
+            x = vs[draw(st.integers(0, len(vs) - 1))]
+            rest = tuple(v for v in vs if v != x)
+            node = b.sum([b.product([b.literal(x)] + split(subset(rest))),
+                          b.product([b.literal(-x)] + split(subset(rest)))])
+        else:
+            node = b.product(split(vs, at_least=2))
+        pool.append(node)
+        return node
+
+    root = build(tuple(range(1, n + 1)))
+    c = b.build(root, num_vars=n, deterministic_by_construction=True)
+    return c if smooth_only else smooth(c)
 
 
 # --- random labelings --------------------------------------------------------

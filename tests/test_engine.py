@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from amckit import (CircuitBuilder, DualValue, LiteralMap, Semiring,
                     backward_cancel, backward_dynamic, backward_naive,
-                    backward_optimized, forward, make_semiring, smooth)
+                    backward_optimized, forward, make_semiring)
 from amckit.backprop import VARIANTS
+
+from conftest import decision_dnnfs
 
 ARRAY_SEMIRINGS = ("bool", "prob", "log", "viterbi", "tropical", "fuzzy",
                    "grad", "gf2")
@@ -40,51 +42,6 @@ class PythonLoop(Semiring):
                      "fully_ordered_mul", "supports_negation", "zero", "one",
                      "add", "mul", "try_divide", "is_ordered_mul"):
             setattr(self, attr, getattr(base, attr))
-
-
-@st.composite
-def decision_dnnfs(draw, smooth_only):
-    """Decisions on a variable and decomposed products, over 1..6 vars."""
-    n = draw(st.integers(1, 6))
-    b = CircuitBuilder()
-    made = {}
-
-    def subset(vs):
-        if smooth_only:
-            return vs
-        return tuple(v for v in vs if draw(st.integers(0, 3)))
-
-    def split(vs, at_least=1):
-        parts = {}
-        for i, v in enumerate(vs):
-            key = i if i < at_least else draw(st.integers(0, 2))
-            parts.setdefault(key, []).append(v)
-        return [build(tuple(sorted(p))) for p in parts.values()]
-
-    def build(vs):
-        if not vs:
-            return b.true()
-        pool = made.setdefault(vs, [])
-        if pool and draw(st.integers(0, 2)) == 0:
-            return pool[draw(st.integers(0, len(pool) - 1))]
-        if len(vs) == 1:
-            v = vs[0]
-            choice = draw(st.integers(0, 2))
-            node = (b.literal(v), b.literal(-v),
-                    b.sum([b.literal(v), b.literal(-v)]))[choice]
-        elif draw(st.booleans()):
-            x = vs[draw(st.integers(0, len(vs) - 1))]
-            rest = tuple(v for v in vs if v != x)
-            node = b.sum([b.product([b.literal(x)] + split(subset(rest))),
-                          b.product([b.literal(-x)] + split(subset(rest)))])
-        else:
-            node = b.product(split(vs, at_least=2))
-        pool.append(node)
-        return node
-
-    root = build(tuple(range(1, n + 1)))
-    c = b.build(root, num_vars=n, deterministic_by_construction=True)
-    return c if smooth_only else smooth(c)
 
 
 def weights(extreme):

@@ -2,19 +2,26 @@
 
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from amckit import (AmckitError, And, BernoulliParams, CircuitBuilder, Lit,
-                    LiteralMap, SampleBatch, compile_to_mods,
+from amckit import (AmckitError, And, BernoulliParams, Circuit,
+                    CircuitBuilder, Lit, LiteralMap, SampleBatch,
+                    compile_to_mods,
                     conditional_entropy, em_conditionals, enumerate_models,
                     forward, grad_amc, hessian_row, indecater_estimate,
                     make_semiring, matrix_to_circuit, matrix_vec_to_circuit,
                     mpe_gradient, oracle_amc, oracle_grad, oracle_hessian,
                     parse_d4, smooth, validate, circuit_to_formula)
+from amckit import layers
+from amckit.circuits import FALSE, LIT, PROD, SUM, TRUE
+from amckit.learning import _uniform_rows
 
-from conftest import random_formula
+from conftest import decision_dnnfs, random_formula
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -135,26 +142,59 @@ def test_indecater_chunks_do_not_change_result(example2_smooth):
     assert a[0] == b[0] and a[1] == b[1]
 
 
-def test_indecater_matches_scalar_bool_passes(example2_smooth):
-    # the vectorized boolean pass must agree with per-sample engine runs
+def odd_circuit():
+    """Products of arity 3 and 4, TRUE and FALSE leaves, literal 2 on three
+    leaves, and variables 4 and 5 that no leaf mentions."""
+    kinds = [LIT] * 7 + [TRUE, FALSE, LIT, PROD, PROD, PROD, PROD, SUM]
+    lits = [1, -1, 2, 2, -2, 3, -3, 0, 0, 2, 0, 0, 0, 0, 0]
+    children = [()] * 10 + [(0, 3, 5, 7), (1, 9, 6, 8), (1, 4, 5), (1, 2, 6),
+                            (10, 11, 12, 13)]
+    return Circuit(kinds, lits, children, 14, 5)
+
+
+# row counts around one 64-row word; a chunk of 100 rows cuts a word, and
+# with one word per block every group's pass is split along the words
+BLOCK = layers.BLOCK_WORDS
+ROWS = ((1, 65536, BLOCK), (63, 65536, BLOCK), (64, 65536, BLOCK),
+        (65, 65536, BLOCK), (200, 65536, BLOCK), (200, 100, BLOCK),
+        (200, 100, 1))
+PROBS = st.lists(st.sampled_from((0.0, 0.1, 0.5, 0.8, 1.0)), min_size=6,
+                 max_size=6)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(circuit=st.one_of(decision_dnnfs(True), decision_dnnfs(False)),
+       probs=PROBS, seed=st.integers(0, 2 ** 32 - 1))
+@example(circuit=smooth(parse_d4(os.path.join(DATA, "example2.nnf"))),
+         probs=EXAMPLE_PARAMS.probs, seed=11)
+@example(circuit=odd_circuit(), probs=[0.5, 0.8, 0.3, 0.5, 0.5, 1.0],
+         seed=5)
+def test_indecater_matches_scalar_bool_passes(circuit, probs, seed):
+    # the bit-packed boolean pass must count what per-row engine runs count
     boolean = make_semiring("bool")
-    batch = SampleBatch(seed=11, count=64)
-    _, g_hat, _ = indecater_estimate(example2_smooth, EXAMPLE_PARAMS, batch)
-    nv = example2_smooth.num_vars
-    from amckit.learning import _uniform_rows
-    draws = _uniform_rows(batch.seed, 0, batch.count, nv) \
-        < np.asarray(EXAMPLE_PARAMS.probs)
-    counts = {lit: 0 for lit in g_hat.literals()}
-    for row in draws:
-        labels = LiteralMap(nv, True)
-        for v in range(1, nv + 1):
-            labels.set(v, bool(row[v - 1]))
-            labels.set(-v, not row[v - 1])
-        _, g = grad_amc(example2_smooth, labels, boolean)
+    nv = circuit.num_vars
+    params = BernoulliParams(probs)
+    for count, chunk, block_words in ROWS:
+        batch = SampleBatch(seed=seed, count=count, chunk=chunk)
+        with mock.patch.object(layers, "BLOCK_WORDS", block_words):
+            p_hat, g_hat, _ = indecater_estimate(circuit, params, batch)
+        draws = _uniform_rows(seed, 0, count, nv) < np.asarray(probs[:nv])
+        root = 0
+        counts = {lit: 0 for lit in g_hat.literals()}
+        for row in draws:
+            labels = LiteralMap(nv, True)
+            for v in range(1, nv + 1):
+                labels.set(v, bool(row[v - 1]))
+                labels.set(-v, not row[v - 1])
+            sat, g = grad_amc(circuit, labels, boolean)
+            root += sat
+            for lit in counts:
+                counts[lit] += bool(g.get(lit))
+        assert p_hat == root / count, (count, chunk, block_words)
         for lit in counts:
-            counts[lit] += bool(g.get(lit))
-    for lit in counts:
-        assert g_hat.get(lit) == counts[lit] / batch.count
+            assert g_hat.get(lit) == counts[lit] / count, \
+                (count, chunk, block_words, lit)
 
 
 def test_indecater_degenerate_params_exact(example2_smooth):
