@@ -1,25 +1,33 @@
-"""Forward evaluation and the four backward passes over a circuit.
+"""Forward evaluation and the backward pass over a circuit.
 
 All gradients are leaf adjoints folded per literal: on a smooth,
 decomposable circuit (deterministic too when the semiring is not additively
 idempotent) the entry for literal l equals the model count of the circuit
-conditioned on l. Variants differ only in how product-node children recover
-their leave-one-out sibling products:
+conditioned on l. The four variants are one backward sweep; they differ
+only in how a product-node child gets the product of its siblings. A child
+is divided out of the node value where the variant divides, the child is
+cancellative and the node did not underflow (its value is zero although
+none of its children is, so dividing it would lose the product of the
+other children). Every other child takes the variant's fallback:
 
-* ``naive``     recomputes each sibling product from scratch, O(e * maxArity);
-* ``cancel``    divides the node value by the child where cancellative;
-* ``dynamic``   two cumulative products per node, O(e) time, O(n) memory;
-* ``opt``       division where cancellative, a top-2 extremal scan where
+* ``naive``     never divides; recomputes each sibling product, O(e * maxArity);
+* ``cancel``    divides; recomputes the sibling product per child otherwise;
+* ``dynamic``   never divides; cumulative prefix/suffix products, computed
+                once per node: O(e) time, one buffer of max arity;
+* ``opt``       divides; a top-2 extremal scan, once per node, where
                 multiplication is fully ordered, cumulative products otherwise.
 
-Division is skipped at a product whose value is zero although none of its
-children is: the value underflowed, and dividing it would lose the product
-of the other children.
+With ``stats=`` a pass reports ``divisions`` and ``ordered_hits`` per child,
+``fallbacks`` per child for recomputation and per node for cumulative
+products, and ``aux_slots``/``peak_aux_bytes`` for the adjoints plus the
+variant's leave-one-out buffers (none for recomputation, one of max arity
+for ``dynamic``, and for ``opt`` the prefix and suffix buffers the array
+engine keeps).
 
 ``forward`` and ``opt`` run on the layered array engine (``layers``) when
 the semiring declares ``array_ops``, and as the Python loops below
-otherwise; ``naive``, ``cancel`` and ``dynamic`` always run as Python loops,
-the reference the engine is tested against. Either way one evaluation runs
+otherwise; ``naive``, ``cancel`` and ``dynamic`` always run the Python
+sweep, the reference the engine is tested against. Either way one evaluation runs
 on one thread.
 
 Thread safety: evaluations over the same immutable circuit may run in
@@ -129,27 +137,8 @@ def forward(circuit: Circuit, labels: LiteralMap, semiring, *, check=True,
     return ForwardTape(values, circuit.root)
 
 
-def _init_adjoints(circuit, semiring):
-    adj = [semiring.zero] * circuit.node_count
-    adj[circuit.root] = semiring.one
-    return adj
-
-
-def _fold_leaves(circuit, adj, semiring) -> LiteralMap:
-    # several leaves may carry the same literal; their adjoints accumulate
-    grads = LiteralMap(circuit.num_vars, semiring.zero)
-    add = semiring.add
-    kinds, lits = circuit.kinds, circuit.lits
-    for i, k in enumerate(kinds):
-        if k == LIT:
-            l = lits[i]
-            grads.set(l, add(grads.get(l), adj[i]))
-    return grads
-
-
-def _underflowed(values, i, ch, zero) -> bool:
-    """Product i is zero although none of its children is."""
-    return values[i] == zero and all(values[c] != zero for c in ch)
+# the fallback a product child takes when it is not divided
+_RECOMPUTE, _CUMULATIVE, _ORDERED = range(3)
 
 
 def _note_stats(stats, circuit, extra_slots, **counts):
@@ -160,116 +149,6 @@ def _note_stats(stats, circuit, extra_slots, **counts):
     stats["peak_aux_bytes"] = 8 * slots
     for key, val in counts.items():
         stats[key] = val
-
-
-def backward_naive(circuit: Circuit, tape: ForwardTape, semiring,
-                   stats=None) -> LiteralMap:
-    """Leave-one-out products recomputed per child; the engine's own oracle."""
-    add, mul = semiring.add, semiring.mul
-    one = semiring.one
-    values = tape.values
-    kinds, children = circuit.kinds, circuit.children
-    adj = _init_adjoints(circuit, semiring)
-    for i in range(circuit.node_count - 1, -1, -1):
-        k = kinds[i]
-        if k == SUM:
-            a = adj[i]
-            for c in children[i]:
-                adj[c] = add(adj[c], a)
-        elif k == PROD:
-            a = adj[i]
-            ch = children[i]
-            m = len(ch)
-            for idx in range(m):
-                loo = one
-                for j in range(m):
-                    if j != idx:
-                        loo = mul(loo, values[ch[j]])
-                c = ch[idx]
-                adj[c] = add(adj[c], mul(a, loo))
-    _note_stats(stats, circuit, 0)
-    return _fold_leaves(circuit, adj, semiring)
-
-
-def backward_cancel(circuit: Circuit, tape: ForwardTape, semiring,
-                    stats=None) -> LiteralMap:
-    """Divide the node value by each child where the child is cancellative.
-
-    Falls back to a per-child recomputation for non-cancellative children
-    (e.g. zero-valued children under prob) and for every child of an
-    underflowed product; fallbacks are counted.
-    """
-    if not semiring.supports_division:
-        raise UnsupportedOperationError(
-            f"semiring '{semiring.name}' provides no division; "
-            "use the dynamic or naive variant"
-        )
-    add, mul, div = semiring.add, semiring.mul, semiring.try_divide
-    zero, one = semiring.zero, semiring.one
-    values = tape.values
-    kinds, children = circuit.kinds, circuit.children
-    adj = _init_adjoints(circuit, semiring)
-    fallbacks = 0
-    for i in range(circuit.node_count - 1, -1, -1):
-        k = kinds[i]
-        if k == SUM:
-            a = adj[i]
-            for c in children[i]:
-                adj[c] = add(adj[c], a)
-        elif k == PROD:
-            a = adj[i]
-            ch = children[i]
-            node_val = values[i]
-            underflow = _underflowed(values, i, ch, zero)
-            m = len(ch)
-            for idx in range(m):
-                c = ch[idx]
-                loo = None if underflow else div(node_val, values[c])
-                if loo is None:
-                    fallbacks += 1
-                    loo = one
-                    for j in range(m):
-                        if j != idx:
-                            loo = mul(loo, values[ch[j]])
-                adj[c] = add(adj[c], mul(a, loo))
-    _note_stats(stats, circuit, 0, fallbacks=fallbacks)
-    return _fold_leaves(circuit, adj, semiring)
-
-
-def backward_dynamic(circuit: Circuit, tape: ForwardTape, semiring,
-                     stats=None) -> LiteralMap:
-    """Cumulative prefix/suffix products; O(e) time, O(n) auxiliary memory.
-
-    The prefix buffer is sized once to the maximum product arity and reused
-    across nodes.
-    """
-    add, mul = semiring.add, semiring.mul
-    one = semiring.one
-    values = tape.values
-    kinds, children = circuit.kinds, circuit.children
-    adj = _init_adjoints(circuit, semiring)
-    prefix = [one] * circuit.max_arity
-    for i in range(circuit.node_count - 1, -1, -1):
-        k = kinds[i]
-        if k == SUM:
-            a = adj[i]
-            for c in children[i]:
-                adj[c] = add(adj[c], a)
-        elif k == PROD:
-            a = adj[i]
-            ch = children[i]
-            m = len(ch)
-            t = one
-            for idx in range(m):
-                prefix[idx] = t
-                t = mul(t, values[ch[idx]])
-            t = one
-            for idx in range(m - 1, -1, -1):
-                c = ch[idx]
-                adj[c] = add(adj[c], mul(a, mul(t, prefix[idx])))
-                t = mul(t, values[c])
-    _note_stats(stats, circuit, circuit.max_arity)
-    return _fold_leaves(circuit, adj, semiring)
 
 
 def _extremal_pair(semiring, values, ch):
@@ -292,6 +171,116 @@ def _extremal_pair(semiring, values, ch):
     return m1, m1_count, (semiring.one if m2 is None else m2)
 
 
+def _sweep(circuit, tape, semiring, stats, divide, fallback, extra_slots):
+    """The backward pass: adjoints top-down, then folded per literal.
+
+    A product child takes the node value divided by the child when
+    ``divide`` is set, the child is cancellative and the node did not
+    underflow; otherwise its sibling product comes from ``fallback``.
+    """
+    add, mul, div = semiring.add, semiring.mul, semiring.try_divide
+    zero, one = semiring.zero, semiring.one
+    values = tape.values
+    kinds, children = circuit.kinds, circuit.children
+    adj = [zero] * circuit.node_count
+    adj[circuit.root] = one
+    # suffix products of the current node, cumulative fallback
+    suffix = [one] * circuit.max_arity
+    cumulative, ordered = fallback == _CUMULATIVE, fallback == _ORDERED
+    divisions = ordered_hits = fallbacks = 0
+    for i in range(circuit.node_count - 1, -1, -1):
+        k = kinds[i]
+        if k == SUM:
+            a = adj[i]
+            for c in children[i]:
+                adj[c] = add(adj[c], a)
+        elif k == PROD:
+            a = adj[i]
+            ch = children[i]
+            node_val = values[i]
+            # a zero product of nonzero children underflowed
+            can_div = divide and not (
+                node_val == zero and all(values[c] != zero for c in ch))
+            scan = prefix = None
+            for idx, c in enumerate(ch):
+                cval = values[c]
+                if can_div and (loo := div(node_val, cval)) is not None:
+                    divisions += 1
+                    if prefix is not None:
+                        prefix = mul(prefix, cval)
+                elif cumulative:
+                    if prefix is None:
+                        # suffix products into the buffer; the prefix runs
+                        # along with the children from here on
+                        t = one
+                        for j in range(len(ch) - 1, -1, -1):
+                            suffix[j] = t
+                            t = mul(t, values[ch[j]])
+                        prefix = one
+                        if idx:  # dynamic's nodes always start at 0
+                            for j in range(idx):
+                                prefix = mul(prefix, values[ch[j]])
+                        fallbacks += 1
+                    loo = mul(suffix[idx], prefix)
+                    prefix = mul(prefix, cval)
+                elif ordered:
+                    if scan is None:
+                        scan = _extremal_pair(semiring, values, ch)
+                    m1, m1_count, m2 = scan
+                    loo = m2 if (cval == m1 and m1_count == 1) else node_val
+                    ordered_hits += 1
+                else:
+                    fallbacks += 1
+                    loo = one
+                    for j, d in enumerate(ch):
+                        if j != idx:
+                            loo = mul(loo, values[d])
+                adj[c] = add(adj[c], mul(a, loo))
+    _note_stats(stats, circuit, extra_slots, divisions=divisions,
+                ordered_hits=ordered_hits, fallbacks=fallbacks)
+    # several leaves may carry the same literal; their adjoints accumulate
+    grads = LiteralMap(circuit.num_vars, zero)
+    lits = circuit.lits
+    for i, k in enumerate(kinds):
+        if k == LIT:
+            l = lits[i]
+            grads.set(l, add(grads.get(l), adj[i]))
+    return grads
+
+
+def backward_naive(circuit: Circuit, tape: ForwardTape, semiring,
+                   stats=None) -> LiteralMap:
+    """Leave-one-out products recomputed per child; the engine's own oracle."""
+    return _sweep(circuit, tape, semiring, stats, False, _RECOMPUTE, 0)
+
+
+def backward_cancel(circuit: Circuit, tape: ForwardTape, semiring,
+                    stats=None) -> LiteralMap:
+    """Divide the node value by each child where the child is cancellative.
+
+    Falls back to a per-child recomputation for non-cancellative children
+    (e.g. zero-valued children under prob) and for every child of an
+    underflowed product; fallbacks are counted.
+    """
+    if not semiring.supports_division:
+        raise UnsupportedOperationError(
+            f"semiring '{semiring.name}' provides no division; "
+            "use the dynamic or naive variant"
+        )
+    return _sweep(circuit, tape, semiring, stats, True, _RECOMPUTE, 0)
+
+
+def backward_dynamic(circuit: Circuit, tape: ForwardTape, semiring,
+                     stats=None) -> LiteralMap:
+    """Cumulative prefix/suffix products; O(e) time, O(n) auxiliary memory.
+
+    The buffer is sized once to the maximum product arity and reused across
+    nodes.
+    """
+    return _sweep(circuit, tape, semiring, stats, False, _CUMULATIVE,
+                  circuit.max_arity)
+
+
 def backward_optimized(circuit: Circuit, tape: ForwardTape, semiring,
                        stats=None) -> LiteralMap:
     """Cancellation and ordering where available, cumulative products otherwise.
@@ -310,63 +299,9 @@ def backward_optimized(circuit: Circuit, tape: ForwardTape, semiring,
                                             ops)
         _note_stats(stats, circuit, 2 * circuit.max_arity, **counts)
         return grads
-    add, mul = semiring.add, semiring.mul
-    zero, one = semiring.zero, semiring.one
-    has_div = semiring.supports_division
-    div = semiring.try_divide
-    fully_ordered = semiring.fully_ordered_mul
-    values = tape.values
-    kinds, children = circuit.kinds, circuit.children
-    adj = _init_adjoints(circuit, semiring)
-    prefix = [one] * circuit.max_arity
-    suffix = [one] * circuit.max_arity
-    divisions = 0
-    ordered_hits = 0
-    fallbacks = 0
-    for i in range(circuit.node_count - 1, -1, -1):
-        k = kinds[i]
-        if k == SUM:
-            a = adj[i]
-            for c in children[i]:
-                adj[c] = add(adj[c], a)
-        elif k == PROD:
-            a = adj[i]
-            ch = children[i]
-            node_val = values[i]
-            can_div = has_div and not _underflowed(values, i, ch, zero)
-            m = len(ch)
-            scan = None
-            cumulative_ready = False
-            for idx in range(m):
-                c = ch[idx]
-                cval = values[c]
-                loo = div(node_val, cval) if can_div else None
-                if loo is not None:
-                    divisions += 1
-                elif fully_ordered:
-                    if scan is None:
-                        scan = _extremal_pair(semiring, values, ch)
-                    m1, m1_count, m2 = scan
-                    loo = m2 if (cval == m1 and m1_count == 1) else node_val
-                    ordered_hits += 1
-                else:
-                    if not cumulative_ready:
-                        t = one
-                        for j in range(m):
-                            prefix[j] = t
-                            t = mul(t, values[ch[j]])
-                        t = one
-                        for j in range(m - 1, -1, -1):
-                            suffix[j] = t
-                            t = mul(t, values[ch[j]])
-                        cumulative_ready = True
-                        fallbacks += 1
-                    loo = mul(suffix[idx], prefix[idx])
-                adj[c] = add(adj[c], mul(a, loo))
-    _note_stats(stats, circuit, 2 * circuit.max_arity,
-                divisions=divisions, ordered_hits=ordered_hits,
-                fallbacks=fallbacks)
-    return _fold_leaves(circuit, adj, semiring)
+    fallback = _ORDERED if semiring.fully_ordered_mul else _CUMULATIVE
+    return _sweep(circuit, tape, semiring, stats, semiring.supports_division,
+                  fallback, 2 * circuit.max_arity)
 
 
 VARIANTS = {

@@ -159,6 +159,31 @@ def oracle_amc(phi, labels: LiteralMap, semiring, variables=None):
     return _sum_models(models, vs, labels, semiring)
 
 
+def _conditioned_count(sat, vs, fixed, labels, semiring):
+    """Count of phi with the variables in ``fixed`` set, over the rest of vs.
+
+    ``sat`` holds phi's truth per assignment, indexed by its ``_mask_iter``
+    position over vs; ``fixed`` maps variables of vs to their values. Sums
+    in ``oracle_amc``'s order over the remaining variables.
+    """
+    n = len(vs)
+    rest = [v for v in vs if v not in fixed]
+    index = range(1 << len(rest))
+    # insert the position bit of each fixed variable, lowest first, so the
+    # rest's higher bits move up one at a time
+    for bit, val in sorted((1 << (n - 1 - vs.index(v)), val)
+                           for v, val in fixed.items()):
+        low, value = bit - 1, bit if val else 0
+        index = [((c & ~low) << 1) | value | (c & low) for c in index]
+    models = (mask for mask, j in zip(_mask_iter(rest), index) if sat[j])
+    return _sum_models(models, rest, labels, semiring)
+
+
+def _truth_table(phi, vs):
+    """Truth of phi per assignment over vs, indexed by its _mask_iter position."""
+    return bytearray(evaluate(phi, mask) for mask in _mask_iter(vs))
+
+
 def oracle_grad(phi, labels: LiteralMap, semiring, variables=None) -> LiteralMap:
     """Model count of phi conditioned on each literal.
 
@@ -173,19 +198,12 @@ def oracle_grad(phi, labels: LiteralMap, semiring, variables=None) -> LiteralMap
         variables = formula_variables(phi)
     _check_budget(variables)
     vs = sorted(variables)
-    n = len(vs)
-    # truth of phi per assignment, indexed by its _mask_iter position
-    sat = bytearray(evaluate(phi, mask) for mask in _mask_iter(vs))
+    sat = _truth_table(phi, vs)
     out = LiteralMap(max(vs, default=0), semiring.zero)
-    for k, v in enumerate(vs):
-        rest = vs[:k] + vs[k + 1:]
-        # position bit of v; the rest's bits above it move up by one
-        bit = 1 << (n - 1 - k)
-        low = bit - 1
-        for lit, value in ((v, bit), (-v, 0)):
-            models = (mask for c, mask in enumerate(_mask_iter(rest))
-                      if sat[((c & ~low) << 1) | value | (c & low)])
-            out.set(lit, _sum_models(models, rest, labels, semiring))
+    for v in vs:
+        for lit in (v, -v):
+            out.set(lit, _conditioned_count(sat, vs, {v: lit > 0}, labels,
+                                            semiring))
     return out
 
 
@@ -197,41 +215,32 @@ def oracle_hessian(phi, labels: LiteralMap, semiring, variables=None,
     the remaining variables. Conditioning twice on the same literal is
     idempotent, so diagonal entries equal the corresponding gradient
     entries; conditioning on both polarities of one variable yields the
-    additive identity.
+    additive identity. Like ``oracle_grad``, phi is evaluated once per
+    total assignment.
     """
     if variables is None:
         variables = formula_variables(phi)
     _check_budget(variables)
-    fvars = set(variables)
+    vs = sorted(variables)
+    fvars = set(vs)
     num_vars = max(fvars, default=0)
     if positive_only:
         lits = list(range(1, num_vars + 1))
     else:
         lits = list(range(1, num_vars + 1)) + [-v for v in range(1, num_vars + 1)]
+    sat = _truth_table(phi, vs)
     zero = semiring.zero
     rows = []
     for li in lits:
         vi = var_of(li)
-        if vi not in fvars:
-            rows.append([zero] * len(lits))
-            continue
-        phi_i = condition(phi, li)
-        rest_i = fvars - {vi}
         row = []
         for lj in lits:
             vj = var_of(lj)
-            if vj not in fvars:
+            if vi not in fvars or vj not in fvars or (vi == vj and li != lj):
                 row.append(zero)
-            elif vj == vi:
-                if lj == li:
-                    row.append(oracle_amc(phi_i, labels, semiring, rest_i))
-                else:
-                    row.append(zero)
             else:
-                row.append(
-                    oracle_amc(condition(phi_i, lj), labels, semiring,
-                               rest_i - {vj})
-                )
+                fixed = {vi: li > 0, vj: lj > 0}
+                row.append(_conditioned_count(sat, vs, fixed, labels, semiring))
         rows.append(row)
     return rows
 

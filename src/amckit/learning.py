@@ -187,6 +187,8 @@ def indecater_estimate(circuit: Circuit, params: BernoulliParams,
     """
     if batch.count <= 0:
         raise ValueError("sample batch is empty")
+    if batch.chunk <= 0:
+        raise ValueError(f"sample chunk must be positive, got {batch.chunk}")
     _require_params(circuit, params)
     structural_gate(circuit, _BOOL)
     nv = circuit.num_vars

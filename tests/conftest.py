@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from amckit import (And, Bottom, CircuitBuilder, DualValue, Lit, LiteralMap,
-                    Not, Or, Polynomial, Top, compile_to_mods,
+                    Not, Or, Polynomial, Semiring, Top, compile_to_mods,
                     formula_variables, make_semiring, smooth)
 
 ALL_SEMIRINGS = ("bool", "nat", "prob", "log", "viterbi", "tropical", "fuzzy",
@@ -123,6 +123,55 @@ def decision_dnnfs(draw, smooth_only):
 
 # --- random labelings --------------------------------------------------------
 
+# weights that make products underflow and overflow
+EXTREME = (0.0, 1.0, 5e-324, 1e-300, 1e300)
+
+
+def weights(extreme):
+    uniform = st.floats(0.05, 1.0)
+    return st.one_of(st.sampled_from(EXTREME if extreme else (0.0, 1.0)),
+                     uniform)
+
+
+def as_label(name, w, t):
+    """One drawn weight in the semiring's encoding (t: a dual's tangent)."""
+    if name == "bool":
+        return w != 0.0
+    if name == "gf2":
+        return int(w != 0.0)
+    if name in ("viterbi", "fuzzy"):
+        # probabilities: a max over products that overflowed next to a zero
+        # (inf * 0 = nan) has no order-free answer
+        return min(w, 1.0)
+    if name in ("log", "tropical"):
+        return math.log(w) if w > 0.0 else -math.inf
+    if name == "grad":
+        return DualValue(w, t)
+    if name == "nat":
+        return round(4 * w)
+    if name == "sens":
+        if w in (0.0, 1.0):
+            return Polynomial.constant(w)
+        return Polynomial({(): w, ((1, 1),): 1.0 - w})
+    return w
+
+
+@st.composite
+def cases(draw, smooth_only, extreme):
+    """(circuit, weights): two weights per literal, the second a tangent."""
+    c = draw(decision_dnnfs(smooth_only))
+    size = 4 * c.num_vars
+    return c, draw(st.lists(weights(extreme), min_size=size, max_size=size))
+
+
+def labeling(name, c, ws):
+    n = c.num_vars
+    labels = LiteralMap(n, make_semiring(name).one)
+    for i, lit in enumerate(labels.literals()):
+        labels.set(lit, as_label(name, ws[i], ws[2 * n + i]))
+    return labels
+
+
 def random_value(name, rng, zero_rate=0.0):
     if zero_rate and rng.random() < zero_rate:
         return make_semiring(name).zero
@@ -158,6 +207,16 @@ def random_labels(name, num_vars, rng, zero_rate=0.0):
         labels.set(v, random_value(name, rng, zero_rate))
         labels.set(-v, random_value(name, rng, zero_rate))
     return labels
+
+
+class PythonLoop(Semiring):
+    """A semiring without ``array_ops``: forward and opt run as Python loops."""
+
+    def __init__(self, base):
+        for attr in ("name", "additively_idempotent", "supports_division",
+                     "fully_ordered_mul", "supports_negation", "zero", "one",
+                     "add", "mul", "try_divide", "is_ordered_mul"):
+            setattr(self, attr, getattr(base, attr))
 
 
 # --- tolerance-aware comparisons ----------------------------------------------

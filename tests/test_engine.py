@@ -10,14 +10,13 @@ import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from amckit import (CircuitBuilder, DualValue, LiteralMap, Semiring,
-                    backward_cancel, backward_dynamic, backward_naive,
-                    backward_optimized, forward, make_semiring)
+from amckit import (CircuitBuilder, DualValue, LiteralMap, backward_cancel,
+                    backward_dynamic, backward_naive, backward_optimized,
+                    forward, make_semiring)
 from amckit.backprop import VARIANTS
 
-from conftest import decision_dnnfs
+from conftest import PythonLoop, cases, labeling
 
 ARRAY_SEMIRINGS = ("bool", "prob", "log", "viterbi", "tropical", "fuzzy",
                    "grad", "gf2")
@@ -27,60 +26,10 @@ SAME_AS_OPT = ("bool", "gf2", "fuzzy", "viterbi", "tropical")
 # against recomputed or cumulative products: division rounds differently
 SAME_AS_REFERENCE = ("bool", "gf2", "fuzzy")
 REL = 1e-12
-EXTREME = (0.0, 1.0, 5e-324, 1e-300, 1e300)
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None,
                     suppress_health_check=[HealthCheck.too_slow])
-
-
-class PythonLoop(Semiring):
-    """A semiring without ``array_ops``: forward and opt run as Python loops."""
-
-    def __init__(self, base):
-        for attr in ("name", "additively_idempotent", "supports_division",
-                     "fully_ordered_mul", "supports_negation", "zero", "one",
-                     "add", "mul", "try_divide", "is_ordered_mul"):
-            setattr(self, attr, getattr(base, attr))
-
-
-def weights(extreme):
-    uniform = st.floats(0.05, 1.0)
-    return st.one_of(st.sampled_from(EXTREME if extreme else (0.0, 1.0)),
-                     uniform)
-
-
-def as_label(name, w, t):
-    """One drawn weight in the semiring's encoding (t: a dual's tangent)."""
-    if name == "bool":
-        return w != 0.0
-    if name == "gf2":
-        return int(w != 0.0)
-    if name in ("viterbi", "fuzzy"):
-        # probabilities: a max over products that overflowed next to a zero
-        # (inf * 0 = nan) has no order-free answer
-        return min(w, 1.0)
-    if name in ("log", "tropical"):
-        return math.log(w) if w > 0.0 else -math.inf
-    if name == "grad":
-        return DualValue(w, t)
-    return w
-
-
-@st.composite
-def cases(draw, smooth_only, extreme):
-    """(circuit, weights): two weights per literal, the second a tangent."""
-    c = draw(decision_dnnfs(smooth_only))
-    size = 4 * c.num_vars
-    return c, draw(st.lists(weights(extreme), min_size=size, max_size=size))
-
-
-def labeling(name, c, ws):
-    n = c.num_vars
-    labels = LiteralMap(n, make_semiring(name).one)
-    for i, lit in enumerate(labels.literals()):
-        labels.set(lit, as_label(name, ws[i], ws[2 * n + i]))
-    return labels
 
 
 def same(name, a, b, exact):

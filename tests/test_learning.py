@@ -216,6 +216,13 @@ def test_indecater_empty_batch(example2_smooth):
                            SampleBatch(seed=1, count=0))
 
 
+@pytest.mark.parametrize("chunk", [0, -5])
+def test_indecater_rejects_nonpositive_chunk(example2_smooth, chunk):
+    with pytest.raises(ValueError, match=f"chunk must be positive, got {chunk}"):
+        indecater_estimate(example2_smooth, EXAMPLE_PARAMS,
+                           SampleBatch(seed=1, count=10, chunk=chunk))
+
+
 def test_hessian_row_example(example2_smooth):
     row_x = hessian_row(example2_smooth, EXAMPLE_PARAMS, 1)
     assert abs(row_x.get(3) - 1.0) < 1e-12
