@@ -121,33 +121,24 @@ def run_suite(named_circuits, semiring, variants, repeat=10, warmup=1,
 
     Failures become records with the error column set; the run continues.
     """
-    def one(item):
-        circuit_id, circuit = item
+    records = []
+    for circuit_id, circuit in named_circuits:
         if isinstance(circuit, Exception):
-            return [BenchRecord(circuit_id, 0, 0, semiring.name, "-", 0,
-                                0.0, 0.0, 0,
-                                error=str(circuit).replace(",", ";"))]
+            records.append(BenchRecord(circuit_id, 0, 0, semiring.name, "-", 0,
+                                       0.0, 0.0, 0,
+                                       error=str(circuit).replace(",", ";")))
+            continue
         try:
             labels = uniform_labels(circuit, semiring, seed)
-            return measure(circuit_id, circuit, labels, semiring, variants,
-                           repeat=repeat, warmup=warmup,
-                           trust_deterministic=trust_deterministic)
+            records += measure(circuit_id, circuit, labels, semiring, variants,
+                               repeat=repeat, warmup=warmup,
+                               trust_deterministic=trust_deterministic)
         except AmckitError as exc:
-            return [BenchRecord(circuit_id, circuit.node_count,
-                                circuit.edge_count, semiring.name, "-", 0,
-                                0.0, 0.0, 0,
-                                error=str(exc).replace(",", ";"))]
-
-    return [rec for item in named_circuits for rec in one(item)]
-
-
-def best_backward_ms(records, variant: str) -> float:
-    """Minimum backward time across repetitions for one variant."""
-    times = [r.backward_ms for r in records
-             if r.variant == variant and not r.error]
-    if not times:
-        raise ValueError(f"no successful records for variant {variant!r}")
-    return min(times)
+            records.append(BenchRecord(circuit_id, circuit.node_count,
+                                       circuit.edge_count, semiring.name, "-",
+                                       0, 0.0, 0.0, 0,
+                                       error=str(exc).replace(",", ";")))
+    return records
 
 
 def loglog_slope(xs, ys) -> float:

@@ -18,8 +18,6 @@ from .literals import LiteralMap, var_of
 
 LIT, TRUE, FALSE, SUM, PROD = range(5)
 
-KIND_NAMES = {LIT: "lit", TRUE: "true", FALSE: "false", SUM: "sum", PROD: "prod"}
-
 DEFAULT_DETERMINISM_BUDGET = 20
 _BUDGET_ENV = "AMCKIT_DETERMINISM_BUDGET"
 
@@ -43,7 +41,7 @@ class Circuit:
 
     __slots__ = ("kinds", "lits", "children", "root", "num_vars",
                  "deterministic_by_construction", "_scopes", "_smooth",
-                 "_decomposable", "_det_cache", "_max_arity", "_edge_count",
+                 "_decomposable", "_determinism", "_max_arity", "_edge_count",
                  "_layers")
 
     def __init__(self, kinds, lits, children, root, num_vars,
@@ -86,7 +84,7 @@ class Circuit:
         self._scopes = None
         self._smooth = None
         self._decomposable = None
-        self._det_cache = {}
+        self._determinism = None  # the exhaustive check's verdict, once run
         self._max_arity = max((len(c) for c in self.children), default=0)
         self._edge_count = sum(len(c) for c in self.children)
         self._layers = None  # compiled by layers.layers_of on first use
@@ -139,10 +137,22 @@ class Circuit:
         self._decomposable = decomposable
 
     def determinism_status(self, budget=None) -> str:
-        budget = determinism_budget(budget)
-        if budget not in self._det_cache:
-            self._det_cache[budget] = _check_determinism(self, budget)
-        return self._det_cache[budget]
+        """Whether no two children of a sum share a model.
+
+        "verified" without a sum of two or more children; otherwise
+        "unverified" above ``budget`` variables (default: env or 20), else
+        the exhaustive check's "verified" or "refuted", run once and cached.
+        """
+        from .layers import layers_of  # layers imports the kinds from here
+        sums = [g.children for g in layers_of(self).groups
+                if g.kind == SUM and len(g.children) > 1]
+        if not sums:
+            return "verified"
+        if self.num_vars > determinism_budget(budget):
+            return "unverified"
+        if self._determinism is None:
+            self._determinism = _check_determinism(self, sums)
+        return self._determinism
 
     def __repr__(self):
         return (f"<Circuit nodes={self.node_count} edges={self.edge_count} "
@@ -238,45 +248,28 @@ def scope_variables(scope: int):
     return out
 
 
-def _check_determinism(circuit: Circuit, budget: int) -> str:
-    """Exhaustive pairwise-overlap check on sum-node children.
-
-    Exponential in num_vars, hence budgeted; "unverified" when over budget.
-    """
-    kinds, lits, children = circuit.kinds, circuit.lits, circuit.children
-    sums = [i for i, k in enumerate(kinds) if k == SUM and len(children[i]) >= 2]
-    if not sums:
-        return "verified"
-    if circuit.num_vars > budget:
-        return "unverified"
-    n = circuit.node_count
-    vals = [False] * n
-    for mask in range(1 << circuit.num_vars):
-        for i, k in enumerate(kinds):
-            if k == LIT:
-                l = lits[i]
-                bit = (mask >> (var_of(l) - 1)) & 1
-                vals[i] = bool(bit) if l > 0 else not bit
-            elif k == TRUE:
-                vals[i] = True
-            elif k == FALSE:
-                vals[i] = False
-            elif k == SUM:
-                vals[i] = any(vals[c] for c in children[i])
-            else:
-                vals[i] = all(vals[c] for c in children[i])
-        for s in sums:
-            sat = 0
-            for c in children[s]:
-                if vals[c]:
-                    sat += 1
-                    if sat >= 2:
-                        return "refuted"
+def _check_determinism(circuit: Circuit, sums) -> str:
+    """Whether two children of a sum (``sums``: child-id matrices) share one
+    of the 2^num_vars assignments, enumerated 64 to a word in blocks that
+    keep the node values near ``layers.BLOCK_WORDS`` words."""
+    from .layers import BLOCK_WORDS, _assignment_words, _bool_forward
+    words = max(1, (1 << circuit.num_vars) // 64)
+    step = max(1, BLOCK_WORDS // circuit.node_count)
+    for lo in range(0, words, step):
+        lits = _assignment_words(circuit.num_vars, lo, min(lo + step, words))
+        values = _bool_forward(circuit, lits)
+        for children in sums:
+            seen = values[children[0]]  # OR of the children so far
+            for c in children[1:]:
+                child = values[c]
+                if (seen & child).any():
+                    return "refuted"
+                seen |= child
     return "verified"
 
 
 def validate(circuit: Circuit, budget=None) -> StructureReport:
-    """Exact smoothness/decomposability plus budgeted determinism check."""
+    """Exact smoothness/decomposability plus ``determinism_status(budget)``."""
     return StructureReport(
         smooth=circuit.is_smooth(),
         decomposable=circuit.is_decomposable(),

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import bench as bench_mod
-from .backprop import grad_amc, forward, variable_gradient
+from .backprop import VARIANTS, grad_amc, forward, variable_gradient
 from .circuits import (default_labels, determinism_budget, parse_d4,
                        parse_weights, smooth, validate)
 from .errors import (AmckitError, ConfigError, ParseError, ScaleError,
@@ -99,7 +99,7 @@ def _cmd_bench(args, out):
     semiring = make_semiring(args.semiring)
     variants = [v.strip() for v in args.algos.split(",") if v.strip()]
     for v in variants:
-        if v not in ("naive", "cancel", "dynamic", "opt"):
+        if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}")
     named = []
     if args.circuit:
@@ -158,8 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("grad", help="per-literal conditioned counts")
     add_common(p_grad)
-    p_grad.add_argument("--algo", default="opt",
-                        choices=("naive", "cancel", "dynamic", "opt"))
+    p_grad.add_argument("--algo", default="opt", choices=tuple(VARIANTS))
     p_grad.add_argument("--per-variable", action="store_true",
                         dest="per_variable",
                         help="combine polarities (ring semirings only)")
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--circuit", help="single NNF file")
     src.add_argument("--suite", help="directory of .nnf files")
     p_bench.add_argument("--semiring", default="prob", choices=SEMIRING_NAMES)
-    p_bench.add_argument("--algos", default="naive,cancel,dynamic,opt")
+    p_bench.add_argument("--algos", default=",".join(VARIANTS))
     p_bench.add_argument("--repeat", type=int, default=10)
     p_bench.add_argument("--warmup", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=1234)

@@ -18,7 +18,8 @@ forward values and every leave-one-out product are the same floats.
 
 ``sat_counts`` runs the Boolean forward and backward on the same groups for
 a batch of assignments at once, 64 per ``uint64`` word, and counts which
-literal-conditioned circuits each assignment satisfies.
+literal-conditioned circuits each assignment satisfies; the determinism
+check in ``circuits`` runs the same forward over every assignment.
 """
 
 from __future__ import annotations
@@ -309,16 +310,8 @@ def sat_counts(circuit, draws):
     """
     lay = layers_of(circuit)
     rows, nv = draws.shape
-    lits = _pack_rows(draws)
-    words = lits.shape[1]
-    values = np.zeros((circuit.node_count, words), dtype=np.uint64)
-    values[lay.leaf_ids] = np.concatenate([lits, ~lits])[lay.leaf_slots]
-    values[lay.one_ids] = _ALL
-    for g in lay.groups:
-        reduce = np.bitwise_or.reduce if g.kind == SUM else np.bitwise_and.reduce
-        for cols in _word_slices(g, words):
-            values[g.ids, cols] = reduce(values[g.children, cols], axis=0)
-
+    values = _bool_forward(circuit, _pack_rows(draws))
+    words = values.shape[1]
     real = _pack_rows(np.ones((rows, 1), dtype=bool))[0]
     adj = np.zeros_like(values)
     adj[circuit.root] = real
@@ -337,6 +330,35 @@ def sat_counts(circuit, draws):
     leaves.apply(by_literal, adj[lay.leaf_ids[leaves.order]], slice(None))
     root = values[circuit.root] & real
     return int(_popcount(root[None])[0]), _popcount(by_literal)
+
+
+def _bool_forward(circuit, lits):
+    """``(node_count, words)`` bits of a Boolean forward pass from the
+    positive literals ``lits``, ``(num_vars, words)`` uint64."""
+    lay = layers_of(circuit)
+    words = lits.shape[1]
+    values = np.zeros((circuit.node_count, words), dtype=np.uint64)
+    values[lay.leaf_ids] = np.concatenate([lits, ~lits])[lay.leaf_slots]
+    values[lay.one_ids] = _ALL
+    for g in lay.groups:
+        reduce = np.bitwise_or.reduce if g.kind == SUM else np.bitwise_and.reduce
+        for cols in _word_slices(g, words):
+            values[g.ids, cols] = reduce(values[g.children, cols], axis=0)
+    return values
+
+
+def _assignment_words(num_vars, lo, hi):
+    """Positive literals of assignments ``64*lo`` to ``64*hi - 1``.
+
+    Six variables vary within a word and the others from word to word.
+    With fewer than six, rows past 2^num_vars repeat enumerated
+    assignments, so these padding bits cannot refute anything falsely.
+    """
+    bit, word = np.arange(64)[:, None], np.arange(lo, hi)
+    low = _pack_rows(bit >> np.arange(min(num_vars, 6)) & 1 == 1)
+    high = word >> np.arange(max(num_vars - 6, 0))[:, None] & 1 == 1
+    return np.concatenate([np.repeat(low, hi - lo, axis=1),
+                           np.where(high, _ALL, np.uint64(0))])
 
 
 def _pack_rows(bits):

@@ -150,27 +150,27 @@ def mpe_gradient(circuit: Circuit, params: BernoulliParams,
 _SAMPLE_BLOCK = 4096
 
 
-def _uniform_rows(seed: int, start: int, rows: int, nv: int):
-    """Rows [start, start+rows) of the sample stream for a given seed.
+def _uniform_rows(seed: int, start: int, rows: int, probs):
+    """Rows [start, start+rows) of the Bernoulli draws for a given seed.
 
-    The stream is laid out in fixed blocks of ``_SAMPLE_BLOCK`` samples,
-    each drawn from a counter-based generator keyed by (seed, block index),
-    so any chunking of the same (seed, count) sees identical draws and
-    blocks can be generated independently in parallel.
+    Entry (r, v) is the r-th uniform draw for variable v + 1 compared with
+    ``probs[v]``. The stream is laid out in fixed blocks of
+    ``_SAMPLE_BLOCK`` samples, each drawn from a counter-based generator
+    keyed by (seed, block index) and compared as it is drawn, so any
+    chunking of the same (seed, count) sees identical draws.
     """
     key_lo = seed & 0xFFFFFFFFFFFFFFFF
-    parts = []
-    first = start // _SAMPLE_BLOCK
-    last = (start + rows - 1) // _SAMPLE_BLOCK
-    for blk in range(first, last + 1):
+    out = np.empty((rows, len(probs)), dtype=bool)
+    for blk in range(start // _SAMPLE_BLOCK,
+                     (start + rows - 1) // _SAMPLE_BLOCK + 1):
         gen = np.random.Generator(
             np.random.Philox(key=np.array([key_lo, blk], dtype=np.uint64))
         )
-        block = gen.random((_SAMPLE_BLOCK, nv))
-        lo = max(start, blk * _SAMPLE_BLOCK) - blk * _SAMPLE_BLOCK
-        hi = min(start + rows, (blk + 1) * _SAMPLE_BLOCK) - blk * _SAMPLE_BLOCK
-        parts.append(block[lo:hi])
-    return parts[0] if len(parts) == 1 else np.vstack(parts)
+        base = blk * _SAMPLE_BLOCK
+        lo, hi = max(start, base), min(start + rows, base + _SAMPLE_BLOCK)
+        np.less(gen.random((_SAMPLE_BLOCK, len(probs)))[lo - base:hi - base],
+                probs, out=out[lo - start:hi - start])
+    return out
 
 
 def indecater_estimate(circuit: Circuit, params: BernoulliParams,
@@ -199,8 +199,7 @@ def indecater_estimate(circuit: Circuit, params: BernoulliParams,
     start = 0
     while start < total:
         rows = min(batch.chunk, total - start)
-        draws = _uniform_rows(batch.seed, start, rows, nv) < probs
-        r, c = sat_counts(circuit, draws)
+        r, c = sat_counts(circuit, _uniform_rows(batch.seed, start, rows, probs))
         root_count += r
         counts += c
         start += rows
@@ -272,20 +271,13 @@ class _CubeFactory:
             self._runs[key] = nid
         return nid
 
-    def pair_cube(self, i: int, j: int):
-        """Unique model with variables i < j positive, everything else negative."""
-        parts = [self.b.literal(i), self.b.literal(j)]
-        for lo, hi in ((1, i - 1), (i + 1, j - 1), (j + 1, self.n)):
-            r = self.run(lo, hi)
-            if r is not None:
-                parts.append(r)
-        return self.b._append(PROD, 0, tuple(parts))
-
-    def single_cube(self, i: int):
-        """Unique model with only variable i positive."""
-        parts = [self.b.literal(i)]
-        for lo, hi in ((1, i - 1), (i + 1, self.n)):
-            r = self.run(lo, hi)
+    def cube(self, *positive: int):
+        """Unique model with the given ascending variables positive,
+        everything else negative."""
+        parts = [self.b.literal(i) for i in positive]
+        bounds = (0,) + positive + (self.n + 1,)
+        for lo, hi in zip(bounds, bounds[1:]):
+            r = self.run(lo + 1, hi - 1)
             if r is not None:
                 parts.append(r)
         return self.b._append(PROD, 0, tuple(parts))
@@ -305,11 +297,11 @@ def _cube_circuit(m, diagonal) -> Circuit:
     for i in range(n):
         for j in range(i + 1, n):
             if m[i][j]:
-                cubes.append(fac.pair_cube(i + 1, j + 1))
+                cubes.append(fac.cube(i + 1, j + 1))
     for i in range(n):
         row_parity = int(m[i].sum() - m[i][i]) & 1
         if row_parity != int(diagonal[i]):
-            cubes.append(fac.single_cube(i + 1))
+            cubes.append(fac.cube(i + 1))
     return fac.build(cubes)
 
 

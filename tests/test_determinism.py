@@ -1,0 +1,116 @@
+"""The exhaustive determinism check against an independent formula oracle."""
+
+import random
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from amckit import Circuit, circuit_to_formula, layers, models_to_circuit
+from amckit.circuits import FALSE, LIT, PROD, SUM, TRUE
+from amckit.formulas import evaluate
+
+
+def oracle_status(circuit, budget):
+    """Determinism by counting, per assignment, the true children of a sum.
+
+    Each child is evaluated as the formula of the circuit re-rooted there;
+    every sum counts, reachable from the root or not.
+    """
+    kinds, children = circuit.kinds, circuit.children
+    sums = [i for i, k in enumerate(kinds) if k == SUM and len(children[i]) > 1]
+    if not sums:
+        return "verified"
+    if circuit.num_vars > budget:
+        return "unverified"
+    for s in sums:
+        phis = [circuit_to_formula(Circuit(kinds, circuit.lits, children, c,
+                                           circuit.num_vars))
+                for c in children[s]]
+        for mask in range(1 << circuit.num_vars):
+            if sum(evaluate(phi, mask) for phi in phis) > 1:
+                return "refuted"
+    return "verified"
+
+
+@st.composite
+def dags(draw):
+    """Sums (some of them decisions), products, TRUE/FALSE and literals.
+
+    Children repeat, and the root is any node, so sums above it are
+    unreachable; one variable may be unmentioned.
+    """
+    nv = draw(st.integers(0, 5))
+    kinds, lits, children = [TRUE, FALSE], [0, 0], [(), ()]
+    for v in range(1, nv + 1):
+        kinds += [LIT, LIT]
+        lits += [v, -v]
+        children += [(), ()]
+    for _ in range(draw(st.integers(1, 12))):
+        n = len(kinds)
+        kind = draw(st.sampled_from((SUM, PROD)))
+        if kind == SUM and nv and draw(st.booleans()):
+            # (x and a) or (not x and b) never overlaps
+            v = draw(st.integers(1, nv))
+            a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            kinds += [PROD, PROD]
+            lits += [0, 0]
+            children += [(2 * v, a), (2 * v + 1, b)]
+            ch = (n, n + 1)
+        else:
+            ch = tuple(draw(st.lists(st.integers(0, n - 1), max_size=4)))
+        kinds.append(kind)
+        lits.append(0)
+        children.append(ch)
+    root = draw(st.integers(0, len(kinds) - 1))
+    return Circuit(kinds, lits, children, root, nv + draw(st.integers(0, 1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(circuit=dags())
+def test_determinism_matches_formula_oracle(circuit):
+    # the larger budget first, so the smaller one reads a cached verdict
+    for budget in (circuit.num_vars, circuit.num_vars - 1):
+        want = oracle_status(circuit, budget)
+        assert circuit.determinism_status(budget) == want, budget
+
+
+def _circuit(nodes, root, num_vars):
+    kinds, lits, children = zip(*nodes)
+    return Circuit(kinds, lits, children, root, num_vars)
+
+
+def test_determinism_without_variables():
+    two_true = _circuit([(TRUE, 0, ()), (TRUE, 0, ()), (SUM, 0, (0, 1))], 2, 0)
+    assert two_true.determinism_status(0) == "refuted"
+    true_false = _circuit([(TRUE, 0, ()), (FALSE, 0, ()), (SUM, 0, (0, 1))],
+                          2, 0)
+    assert true_false.determinism_status(0) == "verified"
+
+
+def test_determinism_overlap_in_last_word_block():
+    # x7 x8 x1 and x7 x8 x2 share only assignments from 192 on, the last of
+    # four words; with one word per block that is the last block
+    def circuit(second):
+        return _circuit([(LIT, 1, ()), (LIT, second, ()), (LIT, 7, ()),
+                         (LIT, 8, ()), (PROD, 0, (3, 2, 0)),
+                         (PROD, 0, (3, 2, 1)), (SUM, 0, (4, 5))], 6, 8)
+
+    for block_words in (1, layers.BLOCK_WORDS):
+        with mock.patch.object(layers, "BLOCK_WORDS", block_words):
+            assert circuit(2).determinism_status(8) == "refuted"
+            assert circuit(-1).determinism_status(8) == "verified"
+
+
+def test_determinism_of_wide_dnf_is_verified():
+    # 16 variables: 2^16 assignments over ~3,000 nodes, run as packed words
+    rng = random.Random(16)
+    nv = 16
+    models = [[v if x >> (v - 1) & 1 else -v for v in range(1, nv + 1)]
+              for x in rng.sample(range(1 << nv), 3000)]
+    built = models_to_circuit(models, nv)
+    c = Circuit(built.kinds, built.lits, built.children, built.root, nv)
+    assert not c.deterministic_by_construction
+    assert c.determinism_status(nv) == "verified"
+    assert c.determinism_status(nv - 1) == "unverified"

@@ -179,7 +179,7 @@ def test_indecater_matches_scalar_bool_passes(circuit, probs, seed):
         batch = SampleBatch(seed=seed, count=count, chunk=chunk)
         with mock.patch.object(layers, "BLOCK_WORDS", block_words):
             p_hat, g_hat, _ = indecater_estimate(circuit, params, batch)
-        draws = _uniform_rows(seed, 0, count, nv) < np.asarray(probs[:nv])
+        draws = _uniform_rows(seed, 0, count, np.asarray(probs[:nv]))
         root = 0
         counts = {lit: 0 for lit in g_hat.literals()}
         for row in draws:
