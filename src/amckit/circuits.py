@@ -3,13 +3,20 @@
 Circuits are flat, immutable DAGs stored in forward evaluation order: every
 child id is strictly smaller than its parent's position, so one left-to-right
 pass never reads an uncomputed value. Child lists keep order and multiplicity.
+
+Parsing, pruning, smoothing and the scope checks are numpy passes over the
+circuit's CSR arrays; where an order matters they go one frontier of nodes
+at a time (``_frontier_heights``, ``_reachable``). ``CircuitBuilder`` and
+``write_d4`` stay Python.
 """
 
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import ParseError, StructureError
 from .formulas import (And, Bottom, Lit, Or, Top, enumerate_models,
@@ -37,65 +44,105 @@ class StructureReport:
 
 
 class Circuit:
-    """Topologically ordered DAG of literal/true/false/sum/product nodes."""
+    """Topologically ordered DAG of literal/true/false/sum/product nodes.
 
-    __slots__ = ("kinds", "lits", "children", "root", "num_vars",
-                 "deterministic_by_construction", "_scopes", "_smooth",
-                 "_decomposable", "_determinism", "_max_arity", "_edge_count",
-                 "_layers")
+    The nodes are stored as one CSR form of int64 arrays: ``kind`` and
+    ``lit`` per node, and the children of node ``i`` at
+    ``flat[offsets[i]:offsets[i + 1]]``. The lists ``kinds``, ``lits`` and
+    ``children`` (of tuples) are built from the arrays on first read, for
+    the Python reference loops.
+    """
+
+    __slots__ = ("kind", "lit", "offsets", "flat", "root", "num_vars",
+                 "deterministic_by_construction", "_kinds", "_lits",
+                 "_children", "_max_arity", "_rows", "_scopes", "_smooth",
+                 "_decomposable", "_determinism", "_layers")
 
     def __init__(self, kinds, lits, children, root, num_vars,
                  deterministic_by_construction=False):
-        n = len(kinds)
-        if not (len(lits) == len(children) == n):
+        if not (len(kinds) == len(lits) == len(children)):
             raise ValueError("node arrays must have equal length")
+        arity = np.fromiter(map(len, children), dtype=np.int64,
+                            count=len(children))
+        offsets = np.zeros(len(children) + 1, dtype=np.int64)
+        np.cumsum(arity, out=offsets[1:])
+        flat = np.fromiter(chain.from_iterable(children), dtype=np.int64,
+                           count=int(offsets[-1]))
+        self._init(np.array(kinds, dtype=np.int64).reshape(-1),
+                   np.array(lits, dtype=np.int64).reshape(-1), offsets, flat,
+                   root, num_vars, deterministic_by_construction)
+
+    @classmethod
+    def _from_arrays(cls, kind, lit, offsets, flat, root, num_vars,
+                     deterministic_by_construction=False):
+        self = cls.__new__(cls)
+        self._init(kind, lit, offsets, flat, root, num_vars,
+                   deterministic_by_construction)
+        return self
+
+    def _init(self, kind, lit, offsets, flat, root, num_vars,
+              deterministic_by_construction):
+        n = len(kind)
         if n == 0:
             raise ValueError("circuit must have at least one node")
         if not (0 <= root < n):
             raise ValueError(f"root {root} out of range")
-        for i in range(n):
-            k = kinds[i]
-            if k == LIT:
-                if lits[i] == 0:
-                    raise ValueError(f"node {i}: literal 0")
-                if children[i]:
-                    raise ValueError(f"node {i}: leaf with children")
-            elif k in (TRUE, FALSE):
-                if children[i]:
-                    raise ValueError(f"node {i}: leaf with children")
-            elif k in (SUM, PROD):
-                for c in children[i]:
-                    if not (0 <= c < i):
-                        raise ValueError(
-                            f"node {i}: child {c} not an earlier position"
-                        )
-            else:
-                raise ValueError(f"node {i}: unknown kind {k}")
-        mentioned = max((var_of(lits[i]) for i in range(n) if kinds[i] == LIT),
-                        default=0)
+        arity = np.diff(offsets)
+        parent = np.repeat(np.arange(n), arity)
+        for bad, what in (
+                ((kind < LIT) | (kind > PROD), "unknown kind"),
+                ((kind == LIT) & (lit == 0), "literal 0"),
+                ((kind <= FALSE) & (arity > 0), "leaf with children")):
+            if bad.any():
+                raise ValueError(f"node {np.argmax(bad)}: {what}")
+        late = (flat < 0) | (flat >= parent)
+        if late.any():
+            e = int(np.argmax(late))
+            raise ValueError(f"node {parent[e]}: child {flat[e]} not an "
+                             "earlier position")
+        mentioned = int(np.abs(lit[kind == LIT]).max(initial=0))
         if num_vars < mentioned:
             raise ValueError(f"num_vars {num_vars} below mentioned {mentioned}")
-        self.kinds = list(kinds)
-        self.lits = list(lits)
-        self.children = [tuple(c) for c in children]
-        self.root = root
+        self.kind, self.lit, self.offsets, self.flat = kind, lit, offsets, flat
+        self.root = int(root)
         self.num_vars = num_vars
         self.deterministic_by_construction = deterministic_by_construction
+        self._kinds = self._lits = self._children = None
+        self._max_arity = int(arity.max(initial=0))
+        self._rows = None  # packed scopes, see layers.scope_rows
         self._scopes = None
         self._smooth = None
         self._decomposable = None
         self._determinism = None  # the exhaustive check's verdict, once run
-        self._max_arity = max((len(c) for c in self.children), default=0)
-        self._edge_count = sum(len(c) for c in self.children)
         self._layers = None  # compiled by layers.layers_of on first use
 
     @property
+    def kinds(self) -> list:
+        if self._kinds is None:
+            self._kinds = self.kind.tolist()
+        return self._kinds
+
+    @property
+    def lits(self) -> list:
+        if self._lits is None:
+            self._lits = self.lit.tolist()
+        return self._lits
+
+    @property
+    def children(self) -> list:
+        if self._children is None:
+            flat, bounds = self.flat.tolist(), self.offsets.tolist()
+            self._children = [tuple(flat[a:b])
+                              for a, b in zip(bounds, bounds[1:])]
+        return self._children
+
+    @property
     def node_count(self) -> int:
-        return len(self.kinds)
+        return len(self.kind)
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self.flat)
 
     @property
     def max_arity(self) -> int:
@@ -105,6 +152,12 @@ class Circuit:
         if self._scopes is None:
             self._scopes = compute_scopes(self)
         return self._scopes
+
+    def _scope_rows(self):
+        if self._rows is None:
+            from .layers import scope_rows  # layers imports the kinds from here
+            self._rows = scope_rows(self)
+        return self._rows
 
     def is_smooth(self) -> bool:
         if self._smooth is None:
@@ -117,24 +170,19 @@ class Circuit:
         return self._decomposable
 
     def _check_scopes(self):
-        scopes = self.scopes()
-        smooth = True
-        decomposable = True
-        for i, k in enumerate(self.kinds):
-            ch = self.children[i]
-            if k == SUM:
-                target = scopes[i]
-                if any(scopes[c] != target for c in ch):
-                    smooth = False
-            elif k == PROD:
-                acc = 0
-                for c in ch:
-                    if acc & scopes[c]:
-                        decomposable = False
-                        break
-                    acc |= scopes[c]
-        self._smooth = smooth
-        self._decomposable = decomposable
+        """Smooth: every sum child's scope row equals its sum's. Decomposable:
+        a product's children are disjoint, so their set bits add up to the
+        product's."""
+        from .layers import _popcount
+        rows = self._scope_rows()
+        slots, owner = _edges(self.offsets, np.flatnonzero(self.kind == SUM))
+        self._smooth = bool((rows[self.flat[slots]] == rows[owner]).all())
+        bits = _popcount(rows)
+        below = np.zeros(self.edge_count + 1, dtype=np.int64)
+        np.cumsum(bits[self.flat], out=below[1:])
+        prod = np.flatnonzero(self.kind == PROD)
+        total = below[self.offsets[prod + 1]] - below[self.offsets[prod]]
+        self._decomposable = bool((total == bits[prod]).all())
 
     def determinism_status(self, budget=None) -> str:
         """Whether no two children of a sum share a model.
@@ -223,40 +271,24 @@ class CircuitBuilder:
 
 
 def compute_scopes(circuit: Circuit):
-    """Per-node variable bitmask (bit v-1 = variable v), one bottom-up pass."""
-    scopes = [0] * circuit.node_count
-    kinds, lits, children = circuit.kinds, circuit.lits, circuit.children
-    for i, k in enumerate(kinds):
-        if k == LIT:
-            scopes[i] = 1 << (var_of(lits[i]) - 1)
-        elif k in (SUM, PROD):
-            acc = 0
-            for c in children[i]:
-                acc |= scopes[c]
-            scopes[i] = acc
-    return scopes
-
-
-def scope_variables(scope: int):
-    out = []
-    v = 1
-    while scope:
-        if scope & 1:
-            out.append(v)
-        scope >>= 1
-        v += 1
-    return out
+    """Per-node variable bitmask (bit v-1 = variable v) as Python ints."""
+    rows = circuit._scope_rows().astype("<u8")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _check_determinism(circuit: Circuit, sums) -> str:
     """Whether two children of a sum (``sums``: child-id matrices) share one
-    of the 2^num_vars assignments, enumerated 64 to a word in blocks that
+    of the assignments to the variables that leaves mention (the others
+    cannot change a node's value), enumerated 64 to a word in blocks that
     keep the node values near ``layers.BLOCK_WORDS`` words."""
     from .layers import BLOCK_WORDS, _assignment_words, _bool_forward
-    words = max(1, (1 << circuit.num_vars) // 64)
+    mentioned = np.unique(np.abs(circuit.lit[circuit.kind == LIT])) - 1
+    words = max(1, (1 << len(mentioned)) // 64)
     step = max(1, BLOCK_WORDS // circuit.node_count)
     for lo in range(0, words, step):
-        lits = _assignment_words(circuit.num_vars, lo, min(lo + step, words))
+        hi = min(lo + step, words)
+        lits = np.zeros((circuit.num_vars, hi - lo), dtype=np.uint64)
+        lits[mentioned] = _assignment_words(len(mentioned), lo, hi)
         values = _bool_forward(circuit, lits)
         for children in sums:
             seen = values[children[0]]  # OR of the children so far
@@ -278,32 +310,141 @@ def validate(circuit: Circuit, budget=None) -> StructureReport:
     )
 
 
+# --- array passes -------------------------------------------------------------
+
+def _ranges(starts, ends):
+    """The concatenated ``arange(s, e)`` of each pair."""
+    lengths = ends - starts
+    out = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    out += np.arange(len(out))
+    return out
+
+
+def _edges(offsets, nodes):
+    """The positions in ``flat`` of the children of ``nodes``, and the node
+    of each."""
+    ends = offsets[nodes + 1]
+    return (_ranges(offsets[nodes], ends),
+            np.repeat(nodes, ends - offsets[nodes]))
+
+
+def _frontier_heights(n, parent, child):
+    """Longest path from each of ``n`` nodes down to a node without arcs,
+    over the arcs ``parent[i] -> child[i]``.
+
+    Nodes are placed one frontier at a time: a node joins the next frontier
+    once all its children are placed. Nodes on or above a cycle are never
+    placed and keep -1.
+    """
+    by_child = np.argsort(child)
+    up = parent[by_child]  # the parents of each child, grouped by child
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(child, minlength=n), out=start[1:])
+    left = np.bincount(parent, minlength=n)
+    height = np.full(n, -1, dtype=np.int64)
+    level, h = np.flatnonzero(left == 0), 0
+    while level.size:
+        height[level] = h
+        ups, hits = np.unique(up[_ranges(start[level], start[level + 1])],
+                              return_counts=True)
+        left[ups] -= hits
+        level, h = ups[left[ups] == 0], h + 1
+    return height
+
+
+def _reachable(offsets, flat, root):
+    """Nodes reachable from ``root`` in a DAG: the others are peeled off one
+    frontier at a time, starting from the nodes without parents."""
+    n = len(offsets) - 1
+    parents = np.bincount(flat, minlength=n)
+    keep = np.ones(n, dtype=bool)
+    level = np.flatnonzero(parents == 0)
+    level = level[level != root]
+    while level.size:
+        keep[level] = False
+        kids, hits = np.unique(flat[_ranges(offsets[level], offsets[level + 1])],
+                               return_counts=True)
+        parents[kids] -= hits
+        level = kids[(parents[kids] == 0) & (kids != root)]
+    return keep
+
+
+def _relabelled(kind, lit, offsets, flat, order, root, num_vars,
+                deterministic_by_construction):
+    """The circuit of the nodes ``order``, in that order, children and root
+    renumbered to match."""
+    where = np.full(len(kind), -1, dtype=np.int64)
+    where[order] = np.arange(len(order))
+    new_offsets = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(np.diff(offsets)[order], out=new_offsets[1:])
+    new_flat = where[flat[_ranges(offsets[order], offsets[order + 1])]]
+    return Circuit._from_arrays(kind[order], lit[order], new_offsets,
+                                new_flat, where[root], num_vars,
+                                deterministic_by_construction)
+
+
 def prune_unreachable(circuit: Circuit) -> Circuit:
     """Drop nodes not reachable from the root, preserving relative order."""
-    keep = [False] * circuit.node_count
-    keep[circuit.root] = True
-    for i in range(circuit.node_count - 1, -1, -1):
-        if keep[i]:
-            for c in circuit.children[i]:
-                keep[c] = True
-    if all(keep):
+    keep = _reachable(circuit.offsets, circuit.flat, circuit.root)
+    if keep.all():
         return circuit
-    remap = {}
-    kinds, lits, children = [], [], []
-    for i in range(circuit.node_count):
-        if keep[i]:
-            remap[i] = len(kinds)
-            kinds.append(circuit.kinds[i])
-            lits.append(circuit.lits[i])
-            children.append(tuple(remap[c] for c in circuit.children[i]))
-    return Circuit(kinds, lits, children, remap[circuit.root],
-                   circuit.num_vars,
-                   circuit.deterministic_by_construction)
+    return _relabelled(circuit.kind, circuit.lit, circuit.offsets,
+                       circuit.flat, np.flatnonzero(keep), circuit.root,
+                       circuit.num_vars, circuit.deterministic_by_construction)
 
 
 # --- d4-style NNF files ----------------------------------------------------
 
-_NODE_RE = re.compile(r"^([oatf])\s+(\d+)\s+0$")
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True  # as str.split()
+_KIND_OF = np.full(256, -1, dtype=np.int64)
+_KIND_OF[[ord("o"), ord("a"), ord("t"), ord("f")]] = SUM, PROD, TRUE, FALSE
+_MESSAGES = (None, "malformed line", "arc not terminated by 0",
+             "undeclared parent id {}", "undeclared child id {}",
+             "literal 0 on arc")
+
+
+def _tokens(data):
+    """The whitespace-separated tokens of ``data`` as arrays.
+
+    Returns, per line with tokens, its first token and its number (1-based;
+    a line ends at \\n, \\r\\n or \\r), and per token its first byte,
+    length and value, and whether it is an integer of at most 18 digits
+    with an optional sign.
+    """
+    # padded with spaces: no token starts at 0 and every one is read in
+    # full (19 bytes) at most
+    buf = np.full(len(data) + 20, ord(" "), dtype=np.uint8)
+    buf[1:-19] = np.frombuffer(data, dtype=np.uint8)
+    cr = buf == 13
+    cr[:-1] &= buf[1:] != 10
+    breaks = np.flatnonzero(cr | (buf == 10))
+    inside = ~_SPACE[buf]
+    start = np.flatnonzero(inside[1:] & ~inside[:-1])
+    start += 1
+    length = np.flatnonzero(inside[:-1] & ~inside[1:])
+    length += 1
+    length -= start
+    after = np.searchsorted(start, breaks)  # the token after each break
+    first = np.zeros(len(start) + 1, dtype=bool)
+    first[0] = True
+    first[after] = True
+    first = np.flatnonzero(first[:-1])
+    line = np.searchsorted(after, first, "right") + 1
+    head = buf[start]
+    sign = (head == ord("-")) | (head == ord("+"))
+    ok = (length > sign) & (length - sign <= 18)
+    value = np.zeros(len(start), dtype=np.int64)
+    for j in range(min(int(length.max(initial=0)), 19)):
+        digit = buf[start] - np.uint8(ord("0"))  # wraps below "0"
+        start += 1
+        live = j < length
+        if j == 0:
+            live &= ~sign
+        ok &= ~live | (digit <= 9)
+        value = np.where(live, value * 10 + digit, value)
+    value[head == ord("-")] *= -1
+    return first, line, head, length, value, ok
 
 
 def parse_d4(path) -> Circuit:
@@ -312,96 +453,174 @@ def parse_d4(path) -> Circuit:
     Node lines are ``o|a|t|f <id> 0``; arc lines are
     ``<parent> <child> [<literal> ...] 0`` with listed literals conjoined
     onto the arc. Arc literals under an or-node become a product wrapping
-    the child; an and-node absorbs its arcs' literals directly. The first
-    declared node is the root. Ids are remapped to a dense forward order.
+    the child; an and-node absorbs its arcs' literals directly; an arc that
+    carries literals drops a true child. A sum or product of one part is
+    that part. The first declared node is the root; nodes it does not reach
+    are dropped, and the rest are ordered by the height of their node in
+    the file's graph.
+
+    The file is read as bytes and checked in array passes over all its
+    tokens; the first line in file order with an error raises
+    ``ParseError``, and cycles are looked for once every line has passed.
     """
-    declared = {}
-    arcs = {}
-    order = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            m = _NODE_RE.match(line)
-            if m:
-                kind, nid = m.group(1), int(m.group(2))
-                if nid in declared:
-                    raise ParseError(path, lineno, f"node {nid} declared twice")
-                declared[nid] = kind
-                arcs[nid] = []
-                order.append(nid)
-                continue
-            try:
-                ints = [int(t) for t in line.split()]
-            except ValueError:
-                raise ParseError(path, lineno, "malformed line") from None
-            if len(ints) < 3 or ints[-1] != 0:
-                raise ParseError(path, lineno, "arc not terminated by 0")
-            parent, child, lits = ints[0], ints[1], ints[2:-1]
-            if parent not in declared:
-                raise ParseError(path, lineno, f"undeclared parent id {parent}")
-            if child not in declared:
-                raise ParseError(path, lineno, f"undeclared child id {child}")
-            if any(l == 0 for l in lits):
-                raise ParseError(path, lineno, "literal 0 on arc")
-            arcs[parent].append((child, tuple(lits), lineno))
-    if not order:
+    kind, ids, parent, child, at, m, lits = _d4_graph(path)
+    height = _frontier_heights(len(ids), parent, child)
+    if (height < 0).any():
+        # nodes that reach a cycle and are reached from one; every cycle
+        # among them has an arc back to a node declared no later
+        core = (height < 0) & (_frontier_heights(len(ids), child, parent) < 0)
+        back = np.flatnonzero(core[parent] & core[child] & (child <= parent))[0]
+        raise ParseError(path, int(at[back]),
+                         f"cycle through node {ids[child[back]]}")
+    live = kind[parent] >= SUM  # the arcs of true and false nodes add nothing
+    lits = lits[np.repeat(live, m)]
+    kinds, lit, offsets, flat, key, root = _assemble(
+        kind, height, parent[live], child[live], m[live], lits)
+    order = np.flatnonzero(_reachable(offsets, flat, root))
+    order = order[np.argsort(key[order], kind="stable")]
+    return _relabelled(kinds, lit, offsets, flat, order, root,
+                       int(np.abs(lits).max(initial=0)), True)
+
+
+def _d4_graph(path):
+    """The nodes and arcs of a d4 file, checked line by line in arrays.
+
+    Returns each node's circuit kind and id in declaration order, and each
+    arc's parent and child (node indices), line, number of literals, and
+    the literals of all arcs in file order.
+    """
+    with open(path, "rb") as fh:
+        first, line, head, length, value, ok = _tokens(fh.read())
+    t = len(head)
+    count = np.diff(first, append=t)
+    nxt, third = np.minimum(first + 1, t - 1), np.minimum(first + 2, t - 1)
+    node = ((count == 3) & (length[first] == 1) & (_KIND_OF[head[first]] >= 0)
+            & ok[nxt] & (head[nxt] >= ord("0"))
+            & (length[third] == 1) & (head[third] == ord("0")))
+    arc = (head[first] != ord("c")) & ~node  # comment lines start with "c"
+
+    kind = _KIND_OF[head[first[node]]]
+    ids, declared_at = value[nxt[node]], line[node]
+    by_id = np.argsort(ids, kind="stable")
+    again = np.zeros(len(ids), dtype=bool)
+    again[1:] = ids[by_id[1:]] == ids[by_id[:-1]]
+    known, known_node = ids[by_id[~again]], by_id[~again]
+
+    def declared(x, before):
+        """Node index of each id in ``x`` declared before its line, or -1."""
+        out = np.full(len(x), -1, dtype=np.int64)
+        if len(known):
+            k = np.minimum(np.searchsorted(known, x), len(known) - 1)
+            hit = (known[k] == x) & (declared_at[known_node[k]] < before)
+            out[hit] = known_node[k[hit]]
+        return out
+
+    def lines_with(tokens):
+        """Whether each arc line holds one of the ``tokens`` (a mask)."""
+        at_line = np.searchsorted(first, np.flatnonzero(tokens), "right") - 1
+        return np.isin(np.flatnonzero(arc), at_line)
+
+    a_first, a_count, at = first[arc], count[arc], line[arc]
+    # literals run from the third token of an arc line to its last but one
+    full = a_count >= 3
+    mark = np.zeros(t, dtype=np.int8)
+    mark[a_first[full] + 2] = 1
+    mark[(a_first + a_count - 1)[full]] -= 1
+    lit_token = np.cumsum(mark, dtype=np.int8).view(bool)
+    parent = declared(value[a_first], at)
+    child = declared(value[np.minimum(a_first + 1, t - 1)], at)
+    code = np.select(
+        [lines_with(~ok), (a_count < 3) | (value[a_first + a_count - 1] != 0),
+         parent < 0, child < 0, lines_with(lit_token & (value == 0))],
+        [1, 2, 3, 4, 5])
+    errors = []
+    bad = np.flatnonzero(code)
+    if bad.size:
+        i = bad[0]
+        named = value[a_first[i] + (code[i] == 4)]  # the undeclared id
+        errors.append((at[i], _MESSAGES[code[i]].format(named)))
+    if again.any():
+        i = by_id[again].min()
+        errors.append((declared_at[i], f"node {ids[i]} declared twice"))
+    if errors:
+        lineno, message = min(errors)
+        raise ParseError(path, int(lineno), message)
+    if not len(ids):
         raise ParseError(path, 1, "no nodes declared")
 
-    builder = CircuitBuilder()
-    emitted = {}
-    state = {}  # 0 = in progress, 1 = done
+    return kind, ids, parent, child, at, a_count - 3, value[lit_token]
 
-    def emit_tree(start):
-        state[start] = 0
-        stack = [(start, 0)]
-        while stack:
-            nid, idx = stack[-1]
-            node_arcs = arcs[nid]
-            if idx < len(node_arcs):
-                stack[-1] = (nid, idx + 1)
-                cid, _lits, lineno = node_arcs[idx]
-                st = state.get(cid)
-                if st == 0:
-                    raise ParseError(path, lineno, f"cycle through node {cid}")
-                if st is None:
-                    state[cid] = 0
-                    stack.append((cid, 0))
-                continue
-            stack.pop()
-            state[nid] = 1
-            kind = declared[nid]
-            if kind == "t":
-                emitted[nid] = builder.true()
-            elif kind == "f":
-                emitted[nid] = builder.false()
-            elif kind == "a":
-                parts = []
-                for cid, lits, _ in node_arcs:
-                    for l in lits:
-                        parts.append(builder.literal(l))
-                    # a true child is absorbed when the arc carries literals
-                    if not (lits and builder.kind_of(emitted[cid]) == TRUE):
-                        parts.append(emitted[cid])
-                emitted[nid] = builder.product(parts)
-            else:  # "o"
-                parts = []
-                for cid, lits, _ in node_arcs:
-                    if not lits:
-                        parts.append(emitted[cid])
-                        continue
-                    wrap = [builder.literal(l) for l in lits]
-                    if builder.kind_of(emitted[cid]) != TRUE:
-                        wrap.append(emitted[cid])
-                    parts.append(builder.product(wrap))
-                emitted[nid] = builder.sum(parts)
 
-    for nid in order:
-        if state.get(nid) != 1:
-            emit_tree(nid)
-    built = builder.build(emitted[order[0]], deterministic_by_construction=True)
-    return prune_unreachable(built)
+def _assemble(kind, height, parent, child, m, lits):
+    """The circuit of an acyclic d4 graph, rooted at its node 0, as arrays.
+
+    Node ``u`` has circuit kind ``kind[u]`` and height ``height[u]``; arc
+    ``i`` runs from ``parent[i]`` to ``child[i]`` and carries ``m[i]`` of
+    the ``lits``, which are in arc order. Returns the kinds, literals,
+    offsets and children of true, false, one leaf per literal and every
+    sum or product of two or more parts, an order key (children have
+    smaller keys), and the root.
+    """
+    n = len(kind)
+    # an or-node's arc with literals runs through a product of its own, just
+    # below the or-node; the arc keeps its literals and the product's place
+    wrap = np.flatnonzero((kind[parent] == SUM) & (m > 0))
+    kind = np.concatenate([kind, np.full(len(wrap), PROD)])
+    key = np.concatenate([2 * height + 1, 2 * height[parent[wrap]]])
+    slot = np.concatenate([np.arange(len(parent)), wrap])
+    above, parent = parent[wrap], parent.copy()
+    parent[wrap] = n + np.arange(len(wrap))
+    parent = np.concatenate([parent, above])
+    child = np.concatenate([child, n + np.arange(len(wrap))])
+    m = np.concatenate([m, np.zeros(len(wrap), dtype=np.int64)])
+
+    n, arcs = len(kind), len(parent)
+    deg = np.bincount(parent, minlength=n)
+    only = np.zeros(n, dtype=np.int64)
+    only[parent] = np.arange(arcs)  # the arc of a node that has one
+    # a sum or product with one arc and no literal on it is its child
+    alias = (deg == 1) & (kind >= SUM)
+    alias[alias] = m[only[alias]] == 0
+    target = np.arange(n)
+    target[alias] = child[only[alias]]
+    while True:
+        jump = target[target]
+        if (jump == target).all():
+            break
+        target = jump
+    is_true = ((kind == TRUE) | ((kind == PROD) & (deg == 0)))[target]
+    # an arc's parts: its literals, then its child unless the arc carries
+    # literals and the child is true
+    has_child = (m == 0) | ~is_true[child]
+    size = m + has_child
+    parts = np.bincount(parent, weights=size, minlength=n).astype(np.int64)
+    main = ~alias & (parts >= 2)
+
+    uniq = np.unique(lits)
+    leaf = 2 + np.searchsorted(uniq, lits)
+    res = np.where((kind == FALSE) | ((kind == SUM) & (deg == 0)), 1, 0)
+    one = ~alias & (parts == 1)  # a product of one literal
+    res[one] = leaf[(np.cumsum(m) - m)[only[one]]]
+    res[main] = 2 + len(uniq) + np.arange(np.count_nonzero(main))
+    res = res[target]
+
+    bounds = np.zeros(arcs + 1, dtype=np.int64)
+    np.cumsum(size, out=bounds[1:])
+    parts_of = np.empty(bounds[-1], dtype=np.int64)
+    parts_of[_ranges(bounds[:-1], bounds[:-1] + m)] = leaf
+    parts_of[(bounds[:-1] + m)[has_child]] = res[child[has_child]]
+    by_parent = np.lexsort((slot, parent))
+    by_parent = by_parent[main[parent[by_parent]]]
+    top = 2 + len(uniq)
+    arity = np.concatenate([np.zeros(top, dtype=np.int64), parts[main]])
+    offsets = np.zeros(len(arity) + 1, dtype=np.int64)
+    np.cumsum(arity, out=offsets[1:])
+    return (np.concatenate([[TRUE, FALSE], np.full(len(uniq), LIT), kind[main]]),
+            np.concatenate([[0, 0], uniq, np.zeros(len(arity) - top,
+                                                   dtype=np.int64)]),
+            offsets,
+            parts_of[_ranges(bounds[by_parent], bounds[by_parent + 1])],
+            np.concatenate([np.full(top, -1), key[main]]), res[0])
 
 
 def write_d4(circuit: Circuit, path) -> None:
@@ -548,52 +767,62 @@ def smooth(circuit: Circuit) -> Circuit:
 
     Every sum child missing variables relative to the sum's scope is wrapped
     in a product with (v OR NOT v) gadgets; gadgets are built once per
-    variable and shared. Requires a decomposable input.
+    variable and shared, on the circuit's own literal leaves where it has
+    them. Requires a decomposable input. The missing variables of each
+    (sum, child) edge are read from the packed scope rows, and the nodes
+    are relabelled once; a circuit that misses nothing is returned as is.
     """
     if not circuit.is_decomposable():
         raise StructureError("cannot smooth a non-decomposable circuit",
                              validate(circuit))
-    scopes = circuit.scopes()
-    kinds, lits, children = circuit.kinds, circuit.lits, circuit.children
+    rows = circuit._scope_rows()
+    kind, lit, offsets, flat = (circuit.kind, circuit.lit, circuit.offsets,
+                                circuit.flat)
+    n = circuit.node_count
+    edge, parent = _edges(offsets, np.flatnonzero(kind == SUM))
+    missing = rows[parent] & ~rows[flat[edge]]
+    need = missing.any(axis=1)
+    if not need.any():
+        return circuit
+    edge, parent, missing = edge[need], parent[need], missing[need]
+    bits = np.unpackbits(missing.astype("<u8").view(np.uint8), axis=1,
+                         bitorder="little")
+    wrapper, var = np.nonzero(bits)  # ascending variables (0-based) per edge
+    gadget_vars = np.unique(var) + 1
+    g = len(gadget_vars)
 
-    b = CircuitBuilder()
-    mapping = [0] * circuit.node_count
-    leaf_ids = {}
-    gadgets = {}
+    have, first = np.unique(lit[kind == LIT], return_index=True)
+    want = np.concatenate([gadget_vars, -gadget_vars])
+    k = np.minimum(np.searchsorted(have, want), len(have) - 1)
+    new = np.flatnonzero(have[k] != want)
+    leaf = np.flatnonzero(kind == LIT)[first][k]
+    leaf[new] = n + np.arange(len(new))
+    gadget = n + len(new)
+    # each wrapper's child, then its gadgets
+    owner = np.concatenate([np.arange(len(edge)), wrapper])
+    wrap_flat = np.concatenate([flat[edge], gadget + np.searchsorted(
+        gadget_vars, var + 1)])[np.argsort(owner, kind="stable")]
+    new_flat = flat.copy()
+    new_flat[edge] = gadget + g + np.arange(len(edge))
 
-    def gadget(v):
-        gid = gadgets.get(v)
-        if gid is None:
-            pos = leaf_ids.get(v)
-            if pos is None:
-                pos = leaf_ids[v] = b._append(LIT, v, ())
-            neg = leaf_ids.get(-v)
-            if neg is None:
-                neg = leaf_ids[-v] = b._append(LIT, -v, ())
-            gid = gadgets[v] = b._append(SUM, 0, (pos, neg))
-        return gid
-
-    for i, k in enumerate(kinds):
-        if k == SUM:
-            target = scopes[i]
-            new_children = []
-            for c in children[i]:
-                missing = target & ~scopes[c]
-                if not missing:
-                    new_children.append(mapping[c])
-                    continue
-                parts = [mapping[c]]
-                for v in scope_variables(missing):
-                    parts.append(gadget(v))
-                new_children.append(b._append(PROD, 0, tuple(parts)))
-            mapping[i] = b._append(SUM, 0, tuple(new_children))
-        else:
-            mapping[i] = b._append(k, lits[i],
-                                   tuple(mapping[c] for c in children[i]))
-            if k == LIT and lits[i] not in leaf_ids:
-                leaf_ids[lits[i]] = mapping[i]
-    return b.build(mapping[circuit.root], num_vars=circuit.num_vars,
-                   deterministic_by_construction=circuit.deterministic_by_construction)
+    kinds = np.concatenate([kind, np.full(len(new), LIT), np.full(g, SUM),
+                            np.full(len(edge), PROD)])
+    lits = np.concatenate([lit, want[new], np.zeros(g + len(edge),
+                                                    dtype=np.int64)])
+    arity = np.concatenate([np.diff(offsets), np.zeros(len(new), np.int64),
+                            np.full(g, 2), np.bincount(owner)])
+    new_offsets = np.zeros(len(kinds) + 1, dtype=np.int64)
+    np.cumsum(arity, out=new_offsets[1:])
+    # the gadgets' leaves first, then the gadgets, then the nodes in order
+    # with each wrapper just before its sum
+    key = np.concatenate([2 * np.arange(n) + 1, np.full(len(new), -2),
+                          np.full(g, -1), 2 * parent])
+    key[leaf[leaf < n]] = -2
+    return _relabelled(
+        kinds, lits, new_offsets,
+        np.concatenate([new_flat, leaf.reshape(2, g).T.ravel(), wrap_flat]),
+        np.argsort(key, kind="stable"), circuit.root, circuit.num_vars,
+        circuit.deterministic_by_construction)
 
 
 def models_to_circuit(models, num_vars: int,

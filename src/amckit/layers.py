@@ -24,11 +24,9 @@ check in ``circuits`` runs the same forward over every assignment.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
-from .circuits import LIT, PROD, SUM, TRUE
+from .circuits import LIT, PROD, SUM, TRUE, _frontier_heights
 from .literals import LiteralMap, literal_order
 
 
@@ -148,23 +146,13 @@ class Layers:
     __slots__ = ("groups", "leaf_ids", "leaf_slots", "one_ids")
 
     def __init__(self, circuit):
-        kinds, lits, children = circuit.kinds, circuit.lits, circuit.children
+        kind, offsets, flat = circuit.kind, circuit.offsets, circuit.flat
         n = circuit.node_count
-        kind = np.array(kinds, dtype=np.int64)
-        arity = np.fromiter(map(len, children), dtype=np.int64, count=n)
-        flat = np.fromiter(chain.from_iterable(children), dtype=np.int64,
-                           count=circuit.edge_count)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(arity, out=offsets[1:])
-        height = [0] * n
-        get = height.__getitem__
-        for i, ch in enumerate(children):
-            if ch:
-                height[i] = 1 + max(map(get, ch))
+        arity = np.diff(offsets)
+        height = _frontier_heights(n, np.repeat(np.arange(n), arity), flat)
 
         inner = np.flatnonzero(arity > 0)
-        h = np.array(height, dtype=np.int64)[inner]
-        k, a = kind[inner], arity[inner]
+        h, k, a = height[inner], kind[inner], arity[inner]
         order = np.lexsort((inner, a, k, h))
         inner, h, k, a = inner[order], h[order], k[order], a[order]
         cut = np.flatnonzero((np.diff(h) != 0) | (np.diff(k) != 0)
@@ -176,11 +164,11 @@ class Layers:
             for lo in range(0, len(same), step):
                 ids = same[lo:lo + step]
                 slots = offsets[ids][None, :] + np.arange(m)[:, None]
-                self.groups.append(Group(kinds[ids[0]], ids, flat[slots]))
+                self.groups.append(Group(int(kind[ids[0]]), ids, flat[slots]))
 
         self.leaf_ids = np.flatnonzero(kind == LIT)
         nv = circuit.num_vars
-        leaf_lits = np.array([lits[i] for i in self.leaf_ids], dtype=np.int64)
+        leaf_lits = circuit.lit[self.leaf_ids]
         # canonical literal order x1..xn, -x1..-xn
         self.leaf_slots = np.where(leaf_lits > 0, leaf_lits - 1, nv - leaf_lits - 1)
         # false leaves and childless sums keep the zero values start with
@@ -347,6 +335,21 @@ def _bool_forward(circuit, lits):
     return values
 
 
+def scope_rows(circuit):
+    """``(node_count, ceil(num_vars / 64))`` uint64 scopes: bit v-1 of a row
+    is set when the node mentions variable v. Every group ORs its
+    children's rows, sums and products alike."""
+    lay = layers_of(circuit)
+    rows = np.zeros((circuit.node_count, -(-circuit.num_vars // 64)),
+                    dtype=np.uint64)
+    var = np.abs(circuit.lit[lay.leaf_ids]) - 1
+    rows[lay.leaf_ids, var // 64] = np.left_shift(np.uint64(1),
+                                                  (var % 64).astype(np.uint64))
+    for g in lay.groups:
+        rows[g.ids] = np.bitwise_or.reduce(rows[g.children], axis=0)
+    return rows
+
+
 def _assignment_words(num_vars, lo, hi):
     """Positive literals of assignments ``64*lo`` to ``64*hi - 1``.
 
@@ -372,8 +375,13 @@ def _pack_rows(bits):
 
 def _popcount(words):
     """Set bits in each row of a ``(n, words)`` uint64 array."""
-    return np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1,
-                                                             dtype=np.int64)
+    # per word: bit counts of pairs, nibbles, then bytes, summed by a multiply
+    x = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = ((x & np.uint64(0x3333333333333333))
+         + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333)))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    x = (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+    return x.sum(axis=1, dtype=np.int64)
 
 
 def _word_slices(g, words):

@@ -3,19 +3,22 @@
 import os
 import random
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from amckit import (And, Bottom, Circuit, CircuitBuilder, Lit, LiteralMap,
-                    Not, Or, ParseError, StructureError, Top,
+from amckit import (And, BernoulliParams, Bottom, Circuit, CircuitBuilder,
+                    Lit, LiteralMap, Not, Or, ParseError, StructureError, Top,
                     circuit_to_formula, compile_to_mods, compute_scopes,
                     enumerate_models, formula_variables, forward, grad_amc,
                     make_semiring, models_to_circuit, oracle_amc, oracle_grad,
                     parse_d4, parse_weights, smooth, validate, write_d4)
 from amckit.circuits import FALSE, LIT, PROD, SUM, TRUE
 
-from conftest import (maps_close, random_formula, random_labels,
-                      values_close)
+from conftest import (cases, labeling, maps_close, random_formula,
+                      random_labels, values_close)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -86,6 +89,67 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_d4(str(path))
     assert "cycle" in str(err.value) or err.value.line in (3, 4, 5)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("o 1 0\ngarbage\n", 2, "malformed line"),
+    ("o 1 0\nx 2 0\n", 2, "malformed line"),
+    ("o 1 0\no 2\n", 2, "malformed line"),
+    ("o 1 0\nt 2 0\n1 2 x 0\n", 3, "malformed line"),
+    ("o 1 0\nt 2 0\n1 2 3\n", 3, "arc not terminated by 0"),
+    ("o 1 0\nt 2 0\n1 2\n", 3, "arc not terminated by 0"),
+    ("o 1 0\n1\n", 2, "arc not terminated by 0"),
+    ("o 1 0\n7 1 0\n", 2, "undeclared parent id 7"),
+    ("o 1 0\n1 7 0\n", 2, "undeclared child id 7"),
+    ("o 1 0\n1 2 0\nt 2 0\n", 2, "undeclared child id 2"),
+    ("o 1 0\n2 1 0\no 2 0\n", 2, "undeclared parent id 2"),
+    ("o 1 0\nt 2 0\nt 1 0\n", 3, "node 1 declared twice"),
+    ("o 1 0\nt 2 0\n1 2 3 0 0\n", 3, "literal 0 on arc"),
+    ("o 1 0\no 2 0\n1 2 0\n2 1 0\n", 4, "cycle through node 1"),
+    ("o 1 0\n1 1 0\n", 2, "cycle through node 1"),
+    ("o 1 0\no 2 0\no 3 0\nt 4 0\n1 2 0\n1 4 0\n2 3 0\n3 2 0\n", 8,
+     "cycle through node 2"),
+    ("", 1, "no nodes declared"),
+    ("c only a comment\n\n", 1, "no nodes declared"),
+], ids=["garbage", "unknown-kind", "short-node", "bad-token", "unterminated",
+        "two-tokens", "one-token", "undeclared-parent", "undeclared-child",
+        "child-declared-later", "parent-declared-later", "declared-twice",
+        "literal-zero", "cycle", "self-loop", "cycle-below-root", "empty",
+        "comments-only"])
+def test_parse_error_cases(tmp_path, text, line, message):
+    path = tmp_path / "bad.nnf"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        parse_d4(str(path))
+    assert err.value.line == line
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
+def test_parse_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "c.nnf"
+    path.write_text("c header\n\no 1 0\n   \nt 2 0\nc between\n1 2 -3 0\n"
+                    "1 2 3 0\n\n")
+    c = parse_d4(str(path))
+    assert c.num_vars == 3 and c.kinds[c.root] == SUM
+    path.write_text("c header\n\no 1 0\nc x\n1 9 0\n")
+    with pytest.raises(ParseError) as err:
+        parse_d4(str(path))
+    assert err.value.line == 5
+
+
+def test_parse_reports_first_error_line(tmp_path):
+    path = tmp_path / "many.nnf"
+    for text, line in [
+            ("o 1 0\nt 2 0\n1 9 0\nt 1 0\nnonsense\n", 3),
+            ("o 1 0\nt 2 0\nnonsense\nt 1 0\n1 9 0\n", 3),
+            ("o 1 0\nt 2 0\nt 2 0\n1 2 0 3 0\n", 3),
+            # lines are checked before the structure, so a malformed line
+            # after a cycle is the one reported
+            ("o 1 0\no 2 0\n1 2 0\n2 1 0\nnonsense\n", 5)]:
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            parse_d4(str(path))
+        assert err.value.line == line, text
 
 
 def test_parse_weights_examples(tmp_path):
@@ -343,3 +407,49 @@ def test_circuit_to_formula_of_wide_dnf_stays_shallow():
         sys.setrecursionlimit(limit)
     _, got = grad_amc(c, labels, prob)
     assert maps_close("prob", got, want)
+
+
+def _close(name, a, b):
+    if name in ("fuzzy", "bool") or a == b:
+        return a == b
+    if name == "grad":
+        return _close("prob", a.primal, b.primal) and _close(
+            "prob", a.tangent, b.tangent)
+    # log values are compared relative to the probabilities they encode
+    floor = 1.0 if name == "log" else 0.0
+    return abs(a - b) <= 1e-12 * max(floor, abs(a), abs(b))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=cases(False, False))
+def test_csr_round_trip_keeps_semantics(case):
+    c, ws = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rt.nnf")
+        write_d4(c, path)
+        parsed = parse_d4(path)
+    n = parsed.node_count
+    arity = np.diff(parsed.offsets)
+    assert (parsed.flat < np.repeat(np.arange(n), arity)).all()
+    assert parsed.kinds == parsed.kind.tolist()
+    assert parsed.lits == parsed.lit.tolist()
+    assert parsed.children == [tuple(parsed.flat[a:b].tolist()) for a, b
+                               in zip(parsed.offsets[:-1], parsed.offsets[1:])]
+    assert all(type(ch) is tuple for ch in parsed.children)
+    for name in ("prob", "log", "grad", "fuzzy", "bool"):
+        S = make_semiring(name)
+        labels = labeling(name, c, ws)
+        want_root, want = grad_amc(c, labels, S)
+        got_root, got = grad_amc(parsed, labels, S)
+        assert _close(name, got_root, want_root), name
+        for lit in want.literals():
+            have = got.get(lit) if abs(lit) <= parsed.num_vars else S.zero
+            assert _close(name, have, want.get(lit)), (name, lit)
+    smoothed = smooth(parsed)
+    assert smoothed.is_smooth() and smoothed.is_decomposable()
+    prob = make_semiring("prob")
+    labels = BernoulliParams([w or 0.5 for w in ws[:parsed.num_vars]]
+                             ).prob_labels()
+    assert _close("prob", grad_amc(smoothed, labels, prob)[0],
+                  grad_amc(parsed, labels, prob, check=False)[0])

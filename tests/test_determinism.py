@@ -1,6 +1,7 @@
 """The exhaustive determinism check against an independent formula oracle."""
 
 import random
+import time
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -114,3 +115,34 @@ def test_determinism_of_wide_dnf_is_verified():
     assert not c.deterministic_by_construction
     assert c.determinism_status(nv) == "verified"
     assert c.determinism_status(nv - 1) == "unverified"
+
+
+def test_determinism_enumerates_only_mentioned_variables():
+    # 12 mentioned variables declared over 20: 2^12 assignments, not 2^20
+    rng = random.Random(12)
+    nv = 12
+    models = [[v if x >> (v - 1) & 1 else -v for v in range(1, nv + 1)]
+              for x in rng.sample(range(1 << nv), 3000)]
+    built = models_to_circuit(models, nv)
+    c = Circuit(built.kinds, built.lits, built.children, built.root, 20)
+    start = time.perf_counter()
+    assert c.determinism_status(20) == "verified"
+    assert time.perf_counter() - start < 1.0
+    assert c.determinism_status(19) == "unverified"
+
+
+def test_determinism_overlap_in_last_block_of_mentioned_variables():
+    # every variable is mentioned, so 2^8 assignments make four one-word
+    # blocks; x7 x8 x1 and x7 x8 x2 overlap only from assignment 192 on
+    def circuit(second):
+        nodes = [(LIT, 1, ()), (LIT, second, ()), (LIT, 7, ()), (LIT, 8, ()),
+                 (PROD, 0, (3, 2, 0)), (PROD, 0, (3, 2, 1)), (SUM, 0, (4, 5))]
+        nodes += [(LIT, v, ()) for v in range(3, 7)]
+        return _circuit(nodes, 6, 8)
+
+    forward = layers._bool_forward
+    with mock.patch.object(layers, "BLOCK_WORDS", 1), \
+            mock.patch.object(layers, "_bool_forward", wraps=forward) as calls:
+        assert circuit(2).determinism_status(8) == "refuted"
+        assert calls.call_count == 4
+        assert circuit(-1).determinism_status(8) == "verified"
