@@ -86,7 +86,8 @@ def structural_gate(circuit: Circuit, semiring, trust_deterministic=False,
     Smoothness and decomposability are always required. Determinism is
     required for non-idempotent semirings unless verified within budget,
     attested by construction (d4 parses, DNF-of-models builders), or
-    explicitly trusted.
+    explicitly trusted. A refusal's report holds what the gate checked:
+    determinism under ``budget`` where it checked it, else under budget 0.
     """
     problems = []
     if not circuit.is_smooth():
@@ -99,11 +100,14 @@ def structural_gate(circuit: Circuit, semiring, trust_deterministic=False,
             problems.append("circuit is not deterministic")
         elif status == "unverified" and not trust_deterministic:
             problems.append(
-                f"determinism unverified within budget {determinism_budget(budget)}"
+                "determinism unverified within budget "
+                f"{determinism_budget() if budget is None else budget}"
                 " (pass trust_deterministic=True to proceed)"
             )
+    else:
+        budget = 0  # not checked, so the report enumerates nothing
     if problems:
-        raise StructureError("; ".join(problems), validate(circuit))
+        raise StructureError("; ".join(problems), validate(circuit, budget))
 
 
 def forward(circuit: Circuit, labels: LiteralMap, semiring, *, check=True,

@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ParseError, StructureError
+from .errors import ConfigError, ParseError, StructureError
 from .formulas import (And, Bottom, Lit, Or, Top, enumerate_models,
                        formula_variables)
 from .literals import LiteralMap, var_of
@@ -30,9 +30,17 @@ _BUDGET_ENV = "AMCKIT_DETERMINISM_BUDGET"
 
 
 def determinism_budget(explicit=None) -> int:
-    if explicit is not None:
-        return int(explicit)
-    return int(os.environ.get(_BUDGET_ENV, DEFAULT_DETERMINISM_BUDGET))
+    """The most variables the exhaustive determinism check enumerates:
+    ``explicit``, else ``AMCKIT_DETERMINISM_BUDGET``, else 20. A budget
+    that is not a non-negative integer raises ``ConfigError``."""
+    source, value = "determinism budget", explicit
+    if explicit is None:
+        source = _BUDGET_ENV
+        value = os.environ.get(_BUDGET_ENV, str(DEFAULT_DETERMINISM_BUDGET))
+    if not str(value).isdecimal():
+        raise ConfigError(f"{source} must be a non-negative integer, "
+                          f"got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -171,18 +179,12 @@ class Circuit:
 
     def _check_scopes(self):
         """Smooth: every sum child's scope row equals its sum's. Decomposable:
-        a product's children are disjoint, so their set bits add up to the
-        product's."""
-        from .layers import _popcount
+        every product's children have disjoint scope rows."""
         rows = self._scope_rows()
         slots, owner = _edges(self.offsets, np.flatnonzero(self.kind == SUM))
         self._smooth = bool((rows[self.flat[slots]] == rows[owner]).all())
-        bits = _popcount(rows)
-        below = np.zeros(self.edge_count + 1, dtype=np.int64)
-        np.cumsum(bits[self.flat], out=below[1:])
-        prod = np.flatnonzero(self.kind == PROD)
-        total = below[self.offsets[prod + 1]] - below[self.offsets[prod]]
-        self._decomposable = bool((total == bits[prod]).all())
+        prods = np.flatnonzero(self.kind == PROD)
+        self._decomposable = bool(_disjoint(self, rows, prods).all())
 
     def determinism_status(self, budget=None) -> str:
         """Whether no two children of a sum share a model.
@@ -191,12 +193,10 @@ class Circuit:
         "unverified" above ``budget`` variables (default: env or 20), else
         the exhaustive check's "verified" or "refuted", run once and cached.
         """
-        from .layers import layers_of  # layers imports the kinds from here
-        sums = [g.children for g in layers_of(self).groups
-                if g.kind == SUM and len(g.children) > 1]
-        if not sums:
+        sums = np.flatnonzero((self.kind == SUM) & (np.diff(self.offsets) > 1))
+        if not sums.size:
             return "verified"
-        if self.num_vars > determinism_budget(budget):
+        if self.num_vars > (determinism_budget() if budget is None else budget):
             return "unverified"
         if self._determinism is None:
             self._determinism = _check_determinism(self, sums)
@@ -277,27 +277,31 @@ def compute_scopes(circuit: Circuit):
 
 
 def _check_determinism(circuit: Circuit, sums) -> str:
-    """Whether two children of a sum (``sums``: child-id matrices) share one
-    of the assignments to the variables that leaves mention (the others
-    cannot change a node's value), enumerated 64 to a word in blocks that
-    keep the node values near ``layers.BLOCK_WORDS`` words."""
-    from .layers import BLOCK_WORDS, _assignment_words, _bool_forward
+    """Whether two children of one of the ``sums`` share one of the
+    assignments to the variables that leaves mention (the others cannot
+    change a node's value), enumerated 64 to a word in blocks that keep the
+    node values at ``layers.BLOCK_WORDS`` words."""
+    from .layers import _assignment_words, _bool_forward, _word_blocks, layers_of
     mentioned = np.unique(np.abs(circuit.lit[circuit.kind == LIT])) - 1
     words = max(1, (1 << len(mentioned)) // 64)
-    step = max(1, BLOCK_WORDS // circuit.node_count)
-    for lo in range(0, words, step):
-        hi = min(lo + step, words)
+    for lo, hi in _word_blocks(layers_of(circuit), words, circuit.node_count):
         lits = np.zeros((circuit.num_vars, hi - lo), dtype=np.uint64)
         lits[mentioned] = _assignment_words(len(mentioned), lo, hi)
-        values = _bool_forward(circuit, lits)
-        for children in sums:
-            seen = values[children[0]]  # OR of the children so far
-            for c in children[1:]:
-                child = values[c]
-                if (seen & child).any():
-                    return "refuted"
-                seen |= child
+        if not _disjoint(circuit, _bool_forward(circuit, lits), sums).all():
+            return "refuted"
     return "verified"
+
+
+def _disjoint(circuit: Circuit, rows, nodes):
+    """Whether the children of each of ``nodes`` have pairwise disjoint
+    ``rows``. A node's row is the OR of its children's, so they are
+    disjoint exactly when its set bits are as many as theirs together."""
+    from .layers import _popcount
+    bits = _popcount(rows)
+    below = np.zeros(circuit.edge_count + 1, dtype=np.int64)
+    np.cumsum(bits[circuit.flat], out=below[1:])
+    total = below[circuit.offsets[nodes + 1]] - below[circuit.offsets[nodes]]
+    return total == bits[nodes]
 
 
 def validate(circuit: Circuit, budget=None) -> StructureReport:
@@ -630,18 +634,6 @@ def write_d4(circuit: Circuit, path) -> None:
     round-trip but evaluation semantics are preserved.
     """
     kinds, lits, children = circuit.kinds, circuit.lits, circuit.children
-    internal = [i for i in range(circuit.node_count) if kinds[i] != LIT]
-    root_is_lit = kinds[circuit.root] == LIT
-    need_true = root_is_lit or any(kinds[i] == TRUE for i in internal)
-    if not need_true:
-        for i in internal:
-            if kinds[i] == PROD and all(kinds[c] == LIT for c in children[i]):
-                need_true = True
-                break
-            if kinds[i] == SUM and any(kinds[c] == LIT for c in children[i]):
-                need_true = True
-                break
-
     ids = {}
     node_lines = []
     arc_lines = []
@@ -650,51 +642,37 @@ def write_d4(circuit: Circuit, path) -> None:
         node_lines.append(f"{kind_letter} {len(node_lines) + 1} 0")
         return len(node_lines)
 
-    if root_is_lit:
-        wrapper = declare("o")
-        true_id = declare("t")
-        arc_lines.append(f"{wrapper} {true_id} {lits[circuit.root]} 0")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(node_lines + arc_lines) + "\n")
-        return
-
     # root first (parse_d4 takes the first declaration as root), then the
-    # rest in reverse forward order so parents precede children
-    decl_order = [circuit.root] + [
-        i for i in reversed(internal) if i != circuit.root
-    ]
-    true_id = None
+    # other non-literals in reverse forward order so parents precede
+    # children; a literal root is an or-node with one literal arc, alone
+    decl_order = [circuit.root]
+    if kinds[circuit.root] != LIT:
+        decl_order += [i for i in reversed(range(circuit.node_count))
+                       if kinds[i] != LIT and i != circuit.root]
     for i in decl_order:
-        k = kinds[i]
-        letter = {TRUE: "t", FALSE: "f", SUM: "o", PROD: "a"}[k]
-        ids[i] = declare(letter)
-        if k == TRUE and true_id is None:
-            true_id = ids[i]
-    if need_true and true_id is None:
-        true_id = declare("t")
+        ids[i] = declare({LIT: "o", TRUE: "t", FALSE: "f", SUM: "o",
+                          PROD: "a"}[kinds[i]])
+    # literal arcs run to this true node; parse_d4 merges true nodes and
+    # drops it when nothing uses it
+    true_id = declare("t")
 
     for i in decl_order:
         k = kinds[i]
         if k == PROD:
-            arc_lits = [str(lits[c]) for c in children[i] if kinds[c] == LIT]
-            others = [c for c in children[i] if kinds[c] != LIT]
-            if others:
-                first, rest = others[0], others[1:]
-                arc_lines.append(
-                    " ".join([str(ids[i]), str(ids[first])] + arc_lits + ["0"])
-                )
-                for c in rest:
-                    arc_lines.append(f"{ids[i]} {ids[c]} 0")
-            else:
-                arc_lines.append(
-                    " ".join([str(ids[i]), str(true_id)] + arc_lits + ["0"])
-                )
+            # the literals ride on the arc to the first other child, or to
+            # the true node
+            arc_lits = [lits[c] for c in children[i] if kinds[c] == LIT]
+            others = [ids[c] for c in children[i] if kinds[c] != LIT] or [true_id]
+            arc_lines.append(" ".join(map(str, [ids[i], others[0], *arc_lits, 0])))
+            arc_lines += [f"{ids[i]} {c} 0" for c in others[1:]]
         elif k == SUM:
             for c in children[i]:
                 if kinds[c] == LIT:
                     arc_lines.append(f"{ids[i]} {true_id} {lits[c]} 0")
                 else:
                     arc_lines.append(f"{ids[i]} {ids[c]} 0")
+        elif k == LIT:
+            arc_lines.append(f"{ids[i]} {true_id} {lits[i]} 0")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(node_lines + arc_lines) + "\n")
 
@@ -774,7 +752,7 @@ def smooth(circuit: Circuit) -> Circuit:
     """
     if not circuit.is_decomposable():
         raise StructureError("cannot smooth a non-decomposable circuit",
-                             validate(circuit))
+                             validate(circuit, 0))
     rows = circuit._scope_rows()
     kind, lit, offsets, flat = (circuit.kind, circuit.lit, circuit.offsets,
                                 circuit.flat)

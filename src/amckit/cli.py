@@ -15,8 +15,9 @@ import sys
 
 from . import bench as bench_mod
 from .backprop import VARIANTS, grad_amc, forward, variable_gradient
-from .circuits import (default_labels, determinism_budget, parse_d4,
-                       parse_weights, smooth, validate)
+from .circuits import (DEFAULT_DETERMINISM_BUDGET, default_labels,
+                       determinism_budget, parse_d4, parse_weights, smooth,
+                       validate)
 from .errors import (AmckitError, ConfigError, ParseError, ScaleError,
                      StructureError, UnsupportedOperationError)
 from .formulas import oracle_amc, oracle_grad, oracle_hessian, read_dimacs
@@ -135,6 +136,13 @@ def _cmd_validate(args, out):
     return 0 if (report.smooth and report.decomposable) else EXIT_STRUCTURE
 
 
+def _budget(text):
+    try:
+        return determinism_budget(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amckit",
@@ -187,10 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="structural property report")
     p_val.add_argument("--circuit", required=True)
-    p_val.add_argument("--determinism-budget", type=int, default=None,
-                       dest="determinism_budget",
-                       help=f"variable budget for the exhaustive determinism "
-                            f"check (default: env or {determinism_budget()})")
+    p_val.add_argument("--determinism-budget", type=_budget,
+                       default=None, dest="determinism_budget",
+                       help="variable budget for the exhaustive determinism "
+                            "check (default: $AMCKIT_DETERMINISM_BUDGET, "
+                            f"else {DEFAULT_DETERMINISM_BUDGET})")
     return parser
 
 

@@ -18,8 +18,10 @@ forward values and every leave-one-out product are the same floats.
 
 ``sat_counts`` runs the Boolean forward and backward on the same groups for
 a batch of assignments at once, 64 per ``uint64`` word, and counts which
-literal-conditioned circuits each assignment satisfies; the determinism
-check in ``circuits`` runs the same forward over every assignment.
+literal-conditioned circuits each assignment satisfies. One fold over
+packed ``uint64`` rows (``_fold``) is that forward, the determinism check's
+forward over every assignment and the scope pass. Passes take every word
+they are given; their callers cut the words into blocks (``_word_blocks``).
 """
 
 from __future__ import annotations
@@ -290,64 +292,76 @@ def sat_counts(circuit, draws):
     Returns the number of rows that satisfy the circuit and an int64 array
     holding, for each literal in canonical order, the number of rows whose
     Boolean gradient is true there: the literal-conditioned circuit is
-    satisfied. Every node holds one bit per row (nodes x rows/8 bytes for
-    values and as much for adjoints). Products take their leave-one-out
-    values from prefix and suffix ANDs, and adjoints are OR-ed into
-    children. The root adjoint covers only the real rows, so the padding
-    bits of the last word count for nothing.
+    satisfied. The rows run in blocks of words (``_word_blocks``), and every
+    node holds one bit per row of a block for values and one for adjoints.
+    Products take their leave-one-out values from prefix and suffix ANDs,
+    and adjoints are OR-ed into children. The root adjoint covers only the
+    real rows, so the padding bits of the last word count for nothing.
     """
     lay = layers_of(circuit)
     rows, nv = draws.shape
-    values = _bool_forward(circuit, _pack_rows(draws))
-    words = values.shape[1]
+    lits = _pack_rows(draws)
     real = _pack_rows(np.ones((rows, 1), dtype=bool))[0]
-    adj = np.zeros_like(values)
-    adj[circuit.root] = real
-    for g in reversed(lay.groups):
-        scatter = _OrScatter(g.children.ravel())
-        parent = g.ids[scatter.order % len(g.ids)]
-        for cols in _word_slices(g, words):
-            contrib = adj[parent, cols]
-            if g.kind == PROD:
-                loo = _siblings_and(values[g.children, cols])
-                contrib &= loo.reshape(contrib.shape)[scatter.order]
-            scatter.apply(adj, contrib, cols)
-
-    by_literal = np.zeros((2 * nv, words), dtype=np.uint64)
+    scatters = [(g, _OrScatter(g.children.ravel()))
+                for g in reversed(lay.groups)]
     leaves = _OrScatter(lay.leaf_slots)
-    leaves.apply(by_literal, adj[lay.leaf_ids[leaves.order]], slice(None))
-    root = values[circuit.root] & real
-    return int(_popcount(root[None])[0]), _popcount(by_literal)
+    sat, counts = 0, np.zeros(2 * nv, dtype=np.int64)
+    for lo, hi in _word_blocks(lay, len(real)):
+        values = _bool_forward(circuit, lits[:, lo:hi])
+        adj = np.zeros_like(values)
+        adj[circuit.root] = real[lo:hi]
+        for g, scatter in scatters:
+            contrib = adj[g.ids[scatter.order % len(g.ids)]]
+            if g.kind == PROD:
+                loo = _siblings_and(values[g.children])
+                contrib &= loo.reshape(contrib.shape)[scatter.order]
+            scatter.apply(adj, contrib)
+        by_literal = np.zeros((2 * nv, hi - lo), dtype=np.uint64)
+        leaves.apply(by_literal, adj[lay.leaf_ids[leaves.order]])
+        sat += int(_popcount(values[[circuit.root]] & real[lo:hi])[0])
+        counts += _popcount(by_literal)
+    return sat, counts
+
+
+def _word_blocks(lay, words, rows=1):
+    """``(lo, hi)`` ranges of ``words`` words that keep the widest group's
+    gather, and ``rows`` rows, at ``BLOCK_WORDS`` words (a word at least)."""
+    width = max([rows] + [g.children.size for g in lay.groups])
+    step = max(1, BLOCK_WORDS // width)
+    return [(lo, min(lo + step, words)) for lo in range(0, words, step)]
+
+
+def _fold(circuit, leaf_rows, fill):
+    """``(node_count, words)`` uint64 rows folded up the groups from
+    ``leaf_rows`` (one per ``Layers.leaf_ids``), with ``fill`` for true
+    nodes and childless products. Sums OR their children's rows; products
+    AND them for models (``fill`` all ones) and OR them for scopes (zero)."""
+    lay = layers_of(circuit)
+    rows = np.zeros((circuit.node_count, leaf_rows.shape[1]), dtype=np.uint64)
+    rows[lay.leaf_ids] = leaf_rows
+    rows[lay.one_ids] = fill
+    product = np.bitwise_and if fill else np.bitwise_or
+    for g in lay.groups:
+        op = np.bitwise_or if g.kind == SUM else product
+        rows[g.ids] = op.reduce(rows[g.children], axis=0)
+    return rows
 
 
 def _bool_forward(circuit, lits):
     """``(node_count, words)`` bits of a Boolean forward pass from the
     positive literals ``lits``, ``(num_vars, words)`` uint64."""
-    lay = layers_of(circuit)
-    words = lits.shape[1]
-    values = np.zeros((circuit.node_count, words), dtype=np.uint64)
-    values[lay.leaf_ids] = np.concatenate([lits, ~lits])[lay.leaf_slots]
-    values[lay.one_ids] = _ALL
-    for g in lay.groups:
-        reduce = np.bitwise_or.reduce if g.kind == SUM else np.bitwise_and.reduce
-        for cols in _word_slices(g, words):
-            values[g.ids, cols] = reduce(values[g.children, cols], axis=0)
-    return values
+    slots = layers_of(circuit).leaf_slots  # canonical literal order
+    return _fold(circuit, np.concatenate([lits, ~lits])[slots], _ALL)
 
 
 def scope_rows(circuit):
     """``(node_count, ceil(num_vars / 64))`` uint64 scopes: bit v-1 of a row
-    is set when the node mentions variable v. Every group ORs its
-    children's rows, sums and products alike."""
-    lay = layers_of(circuit)
-    rows = np.zeros((circuit.node_count, -(-circuit.num_vars // 64)),
-                    dtype=np.uint64)
-    var = np.abs(circuit.lit[lay.leaf_ids]) - 1
-    rows[lay.leaf_ids, var // 64] = np.left_shift(np.uint64(1),
-                                                  (var % 64).astype(np.uint64))
-    for g in lay.groups:
-        rows[g.ids] = np.bitwise_or.reduce(rows[g.children], axis=0)
-    return rows
+    is set when the node mentions variable v."""
+    var = np.abs(circuit.lit[layers_of(circuit).leaf_ids]) - 1
+    bits = np.zeros((len(var), -(-circuit.num_vars // 64)), dtype=np.uint64)
+    bits[np.arange(len(var)), var // 64] = np.left_shift(
+        np.uint64(1), (var % 64).astype(np.uint64))
+    return _fold(circuit, bits, np.uint64(0))
 
 
 def _assignment_words(num_vars, lo, hi):
@@ -382,12 +396,6 @@ def _popcount(words):
     x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
     x = (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
     return x.sum(axis=1, dtype=np.int64)
-
-
-def _word_slices(g, words):
-    """Slices of the word axis that gather at most ``BLOCK_WORDS`` words."""
-    step = max(1, BLOCK_WORDS // g.children.size)
-    return [slice(lo, lo + step) for lo in range(0, words, step)]
 
 
 def _siblings_and(child):
@@ -435,11 +443,11 @@ class _OrScatter:
             self.steps.append((src, src + d))
             d *= 2
 
-    def apply(self, acc, rows, cols):
-        """OR each row into its target's ``cols`` in ``acc``.
+    def apply(self, acc, rows):
+        """OR each row into its target's row of ``acc``.
 
         ``rows`` are in ``order``, so sorted by target; they are overwritten.
         """
         for src, other in self.steps:
             rows[src] |= rows[other]
-        acc[self.targets, cols] |= rows[self.heads]
+        acc[self.targets] |= rows[self.heads]

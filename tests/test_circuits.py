@@ -2,20 +2,24 @@
 
 import os
 import random
+import re
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from amckit import (And, BernoulliParams, Bottom, Circuit, CircuitBuilder,
-                    Lit, LiteralMap, Not, Or, ParseError, StructureError, Top,
-                    circuit_to_formula, compile_to_mods, compute_scopes,
-                    enumerate_models, formula_variables, forward, grad_amc,
-                    make_semiring, models_to_circuit, oracle_amc, oracle_grad,
-                    parse_d4, parse_weights, smooth, validate, write_d4)
-from amckit.circuits import FALSE, LIT, PROD, SUM, TRUE
+                    ConfigError, Lit, LiteralMap, Not, Or, ParseError,
+                    StructureError, Top, circuit_to_formula, compile_to_mods,
+                    compute_scopes, enumerate_models, formula_variables,
+                    forward, grad_amc, make_semiring, models_to_circuit,
+                    oracle_amc, oracle_grad, parse_d4, parse_weights, smooth,
+                    validate, write_d4)
+from amckit.circuits import (FALSE, LIT, PROD, SUM, TRUE,
+                             determinism_budget)
 
 from conftest import (cases, labeling, maps_close, random_formula,
                       random_labels, values_close)
@@ -323,6 +327,46 @@ def test_validate_budget_env_var(monkeypatch):
     c = b.build(s)
     monkeypatch.setenv("AMCKIT_DETERMINISM_BUDGET", "0")
     assert validate(c).deterministic == "unverified"
+
+
+@pytest.mark.parametrize("env, explicit, source", [
+    ("abc", None, "AMCKIT_DETERMINISM_BUDGET"),
+    ("-3", None, "AMCKIT_DETERMINISM_BUDGET"),
+    ("2.5", None, "AMCKIT_DETERMINISM_BUDGET"),
+    ("7", -1, "determinism budget"),
+    (None, "abc", "determinism budget"),
+    (None, 2.5, "determinism budget")])
+def test_determinism_budget_rejects_bad_values(monkeypatch, env, explicit,
+                                               source):
+    if env is not None:
+        monkeypatch.setenv("AMCKIT_DETERMINISM_BUDGET", env)
+    value = env if explicit is None else explicit
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{source} must be a non-negative "
+                                       f"integer, got {value!r}")):
+        determinism_budget(explicit)
+
+
+def test_determinism_budget_sources(monkeypatch):
+    monkeypatch.delenv("AMCKIT_DETERMINISM_BUDGET", raising=False)
+    assert determinism_budget() == 20
+    monkeypatch.setenv("AMCKIT_DETERMINISM_BUDGET", "7")
+    assert determinism_budget() == 7
+    assert determinism_budget(0) == 0
+
+
+def test_scopes_over_many_declared_variables_stay_small():
+    # scope rows take nodes x ceil(num_vars / 64) words; nothing may take
+    # num_vars rows of that width, which is quadratic in the variables
+    nv = 20000
+    c = Circuit([LIT, LIT, PROD], [1, nv, 0], [(), (), (0, 1)], 2, nv)
+    tracemalloc.start()
+    try:
+        assert c.is_decomposable()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bool_evaluation_matches_sat_on_bundled_pairs():

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from amckit import compile_to_mods, read_dimacs, write_d4
 from amckit.bench import CSV_HEADER
 from amckit.cli import main
@@ -195,6 +197,43 @@ def test_validate_budget_flag(capsys):
                            "--determinism-budget", "0")
     assert code == 0
     assert "deterministic: unverified" in out
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_validate_rejects_bad_budget_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("AMCKIT_DETERMINISM_BUDGET", value)
+    code, _, err = run_cli(capsys, "validate",
+                           "--circuit", data_path("example2_smooth.nnf"))
+    assert code == 1
+    assert f"AMCKIT_DETERMINISM_BUDGET must be a non-negative integer, " \
+           f"got {value!r}" in err
+
+
+def test_bad_budget_variable_spares_commands_without_the_check(
+        capsys, monkeypatch):
+    # d4 files are deterministic by construction: prob never reads the budget
+    monkeypatch.setenv("AMCKIT_DETERMINISM_BUDGET", "abc")
+    code, out, _ = run_cli(capsys, "amc",
+                           "--circuit", data_path("example2.nnf"),
+                           "--weights", data_path("example1.w"),
+                           "--semiring", "prob", "--smooth")
+    assert code == 0
+    assert abs(float(out.strip()) - 0.44) < 1e-12
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", "--help"])
+    assert exit_.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(default: $AMCKIT_DETERMINISM_BUDGET, else 20)" in help_text
+
+
+@pytest.mark.parametrize("value", ["-5", "abc"])
+def test_validate_budget_flag_rejects_bad_values(capsys, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", "--circuit", data_path("example2_smooth.nnf"),
+              "--determinism-budget", value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"must be a non-negative integer, got {value!r}" in err
 
 
 def test_validate_parse_error_exit(capsys, tmp_path):

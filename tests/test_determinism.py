@@ -4,10 +4,13 @@ import random
 import time
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amckit import Circuit, circuit_to_formula, layers, models_to_circuit
+from amckit import (Circuit, StructureError, circuit_to_formula,
+                    default_labels, grad_amc, layers, make_semiring,
+                    models_to_circuit, smooth, structural_gate)
 from amckit.circuits import FALSE, LIT, PROD, SUM, TRUE
 from amckit.formulas import evaluate
 
@@ -146,3 +149,71 @@ def test_determinism_overlap_in_last_block_of_mentioned_variables():
         assert circuit(2).determinism_status(8) == "refuted"
         assert calls.call_count == 4
         assert circuit(-1).determinism_status(8) == "verified"
+
+
+@pytest.mark.parametrize("block_words", [1, layers.BLOCK_WORDS])
+def test_disjointness_edge_cases(block_words):
+    # x1..x8 are mentioned, so 2^8 assignments make four words; x7 x8 x1
+    # (node 11) and x7 x8 x2 (node 12) hold only in the last one
+    nodes = [(LIT, v, ()) for v in range(1, 9)]
+    nodes += [(LIT, -7, ()), (FALSE, 0, ()), (LIT, -1, ()),
+              (PROD, 0, (6, 7, 0)), (PROD, 0, (6, 7, 1))]
+    x1, not_x7, false, not_x1, a, b = 0, 8, 9, 10, 11, 12
+
+    def node(kind, *children):
+        return _circuit(nodes + [(kind, 0, children)], len(nodes), 8)
+
+    with mock.patch.object(layers, "BLOCK_WORDS", block_words):
+        # only the first and third children share a model
+        assert node(SUM, a, not_x7, b).determinism_status(8) == "refuted"
+        assert node(SUM, a, not_x7).determinism_status(8) == "verified"
+        assert node(SUM, a, a).determinism_status(8) == "refuted"
+        assert node(SUM, false, a, false).determinism_status(8) == "verified"
+        assert not node(PROD, x1, x1).is_decomposable()
+        over_x1 = _circuit(nodes + [(SUM, 0, (x1, not_x1)),
+                                    (PROD, 0, (x1, len(nodes)))],
+                           len(nodes) + 1, 8)
+        assert not over_x1.is_decomposable()
+
+
+def _dnf20(first_cube):
+    """3,000 models over 20 variables, distinct on x1..x19, as a circuit not
+    marked deterministic; the first cube drops its x20 (not smooth) or
+    repeats its x1 (not decomposable), and no two cubes share a model."""
+    rng = random.Random(20)
+    nv = 20
+    models = [[v if x >> (v - 1) & 1 else -v for v in range(1, nv + 1)]
+              for x in rng.sample(range(1 << (nv - 1)), 3000)]
+    built = models_to_circuit(models, nv)
+    children = list(built.children)
+    cube = built.kinds.index(PROD)
+    children[cube] = first_cube(children[cube])
+    return Circuit(built.kinds, built.lits, children, built.root, nv)
+
+
+def test_refusals_enumerate_no_models():
+    # a fuzzy gate does not check determinism and smooth() needs only
+    # scopes, so their reports run none of the 2^20 assignments
+    def enumerate_models(circuit, lits):
+        raise AssertionError("determinism enumerated")
+
+    fuzzy = make_semiring("fuzzy")
+    unsmooth = _dnf20(lambda cube: cube[:-1])
+    tangled = _dnf20(lambda cube: cube + cube[:1])
+    with mock.patch.object(layers, "_bool_forward", enumerate_models):
+        with pytest.raises(StructureError) as err:
+            grad_amc(unsmooth, default_labels(fuzzy, 20), fuzzy)
+        assert not err.value.report.smooth
+        assert err.value.report.deterministic == "unverified"
+        with pytest.raises(StructureError) as err:
+            smooth(tangled)
+        assert not err.value.report.decomposable
+        assert err.value.report.deterministic == "unverified"
+
+
+def test_gate_report_keeps_the_gate_budget():
+    with pytest.raises(StructureError) as err:
+        structural_gate(_dnf20(lambda cube: cube[:-1]), make_semiring("prob"),
+                        budget=5)
+    assert "unverified within budget 5" in str(err.value)
+    assert err.value.report.deterministic == "unverified"
