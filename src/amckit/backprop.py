@@ -86,16 +86,21 @@ def structural_gate(circuit: Circuit, semiring, trust_deterministic=False,
     Smoothness and decomposability are always required. Determinism is
     required for non-idempotent semirings unless verified within budget,
     attested by construction (d4 parses, DNF-of-models builders), or
-    explicitly trusted. A refusal's report holds what the gate checked:
-    determinism under ``budget`` where it checked it, else under budget 0.
+    explicitly trusted. A circuit already refused as not smooth or not
+    decomposable enumerates no models: determinism is asked for at budget
+    0, and an ``unverified`` result is worded with ``budget``. A refusal's
+    report holds what the gate checked, determinism under the budget it
+    asked for.
     """
     problems = []
     if not circuit.is_smooth():
         problems.append("circuit is not smooth (apply smooth())")
     if not circuit.is_decomposable():
         problems.append("circuit is not decomposable")
+    checked = 0  # not checked, so the report enumerates nothing
     if semiring.needs_determinism and not circuit.deterministic_by_construction:
-        status = circuit.determinism_status(budget)
+        checked = 0 if problems else budget
+        status = circuit.determinism_status(checked)
         if status == "refuted":
             problems.append("circuit is not deterministic")
         elif status == "unverified" and not trust_deterministic:
@@ -104,10 +109,8 @@ def structural_gate(circuit: Circuit, semiring, trust_deterministic=False,
                 f"{determinism_budget() if budget is None else budget}"
                 " (pass trust_deterministic=True to proceed)"
             )
-    else:
-        budget = 0  # not checked, so the report enumerates nothing
     if problems:
-        raise StructureError("; ".join(problems), validate(circuit, budget))
+        raise StructureError("; ".join(problems), validate(circuit, checked))
 
 
 def forward(circuit: Circuit, labels: LiteralMap, semiring, *, check=True,

@@ -803,12 +803,12 @@ def smooth(circuit: Circuit) -> Circuit:
         circuit.deterministic_by_construction)
 
 
-def models_to_circuit(models, num_vars: int,
-                      cube_extra=None) -> Circuit:
+def models_to_circuit(models, num_vars: int) -> Circuit:
     """Smooth deterministic DNF circuit with one cube per model.
 
     Models are iterables of signed literals, total over 1..num_vars. The
-    resulting circuit is trivially smooth, decomposable, and deterministic.
+    resulting circuit is trivially smooth, decomposable, and deterministic;
+    over no variables it is TRUE for the one empty model and FALSE for none.
     """
     b = CircuitBuilder()
     cubes = []
@@ -831,13 +831,8 @@ def compile_to_mods(phi, variables=None) -> Circuit:
     """Enumerate a small formula's models and lay them out as a DNF circuit."""
     if variables is None:
         variables = formula_variables(phi)
-    num_vars = max(variables, default=0)
-    if num_vars == 0:
-        b = CircuitBuilder()
-        sat = bool(enumerate_models(phi, variables))
-        return b.build(b.true() if sat else b.false(), num_vars=0,
-                       deterministic_by_construction=True)
-    return models_to_circuit(enumerate_models(phi, variables), num_vars)
+    return models_to_circuit(enumerate_models(phi, variables),
+                             max(variables, default=0))
 
 
 def _balanced(op, parts):

@@ -212,25 +212,23 @@ _HANDLERS = {
 }
 
 
+# the exit code of each error class, most specific class first
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (StructureError, EXIT_STRUCTURE),
+    (UnsupportedOperationError, EXIT_UNSUPPORTED),
+    (ScaleError, EXIT_SCALE),
+    (AmckitError, EXIT_ERROR),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args, sys.stdout)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except StructureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
-    except UnsupportedOperationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCALE
     except AmckitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -1,17 +1,19 @@
 """Commutative semirings used to evaluate model counts and their gradients.
 
-Every semiring is an immutable object exposing ``zero``/``one`` identities,
-``add``/``mul``, and two optional capabilities the optimized backward pass
-exploits:
+A semiring is one ``Semiring`` record: a name, the ``zero``/``one``
+identities, scalar ``add``/``mul``, its weight-file encoding, and two
+optional capabilities the optimized backward pass exploits:
 
 * ``try_divide(a, c)`` returns ``b`` with ``a = c * b`` when ``c`` is
-  multiplicatively cancellative against ``a``, else ``None``.
+  multiplicatively cancellative against ``a``, else ``None``. A record
+  given a ``divide`` cancels every element but ``zero``.
 * ``is_ordered_mul(a, b)`` reports ``"left"`` when ``a * b == a``,
   ``"right"`` when ``a * b == b``, ``None`` otherwise.
 
 A semiring whose elements fit numpy arrays also declares ``array_ops``, the
 same arithmetic on arrays; ``forward`` and the ``opt`` backward then run on
-the layered array engine (see ``layers``).
+the layered array engine (see ``layers``). The ten built-ins are records
+over the named functions at the end of this module.
 
 Instances hold no mutable state and can be shared freely between threads.
 """
@@ -19,7 +21,9 @@ Instances hold no mutable state and can be shared freely between threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -130,7 +134,17 @@ class Polynomial:
 
 
 class Semiring:
-    """Behavioral contract of a commutative semiring instance."""
+    """A commutative semiring: identities, operations and weight encodings.
+
+    ``Semiring(name, zero, one, add, mul, ...)`` declares one from scalar
+    functions. ``divide(a, c)`` is ``b`` with ``a = c * b`` for every ``c``
+    but ``zero``, or None where no ``b`` exists; giving it makes
+    ``supports_division`` true, as ``negate`` does ``supports_negation``.
+    The other functions given replace the defaults below; named functions
+    and ``functools.partial`` keep an instance picklable. A subclass may
+    instead set the class attributes and override the methods without
+    calling ``__init__``.
+    """
 
     name = "abstract"
     additively_idempotent = False
@@ -140,6 +154,26 @@ class Semiring:
     zero = None
     one = None
     array_ops = None
+
+    def __init__(self, name, zero, one, add, mul, *, divide=None, negate=None,
+                 encode_prob=None, parse_value=None, format_value=None,
+                 default_label=None, additively_idempotent=False,
+                 fully_ordered_mul=False, array_ops=None):
+        self.name, self.zero, self.one = name, zero, one
+        self.add, self.mul = add, mul
+        self.additively_idempotent = additively_idempotent
+        self.fully_ordered_mul = fully_ordered_mul
+        self.array_ops = array_ops
+        self.supports_division = divide is not None
+        self.supports_negation = negate is not None
+        if divide is not None:
+            self.try_divide = partial(_cancel, zero, divide)
+        for attr, fn in (("negate", negate), ("encode_prob", encode_prob),
+                         ("parse_value", parse_value),
+                         ("format_value", format_value),
+                         ("default_label", default_label)):
+            if fn is not None:
+                setattr(self, attr, fn)
 
     @property
     def needs_determinism(self) -> bool:
@@ -193,363 +227,226 @@ class Semiring:
         return f"<semiring {self.name}>"
 
 
+# --- the scalar functions the built-ins are made of --------------------------
+
+def _cancel(zero, divide, a, c):
+    """try_divide of a semiring with division: every element but zero
+    cancels."""
+    return None if c == zero else divide(a, c)
+
+
+def _exact_quotient(a, c):
+    return None if a % c else a // c
+
+
+def _identity(a):
+    return a
+
+
+def _or(a, b):
+    return a or b
+
+
+def _and(a, b):
+    return a and b
+
+
+def _max(a, b):
+    return a if a >= b else b
+
+
+def _min(a, b):
+    return a if a <= b else b
+
+
+def _negate_dual(a):
+    return DualValue(-a.primal, -a.tangent)
+
+
 def _check_unit(p: float, what: str):
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"{what} {p!r} outside [0, 1]")
     return p
 
 
-class BoolSemiring(Semiring):
-    name = "bool"
-    additively_idempotent = True
-    supports_division = True
-    fully_ordered_mul = True
-    zero = False
-    one = True
-    # True is the only cancellative element, and a / True = a and True
-    array_ops = UfuncOps(np.bool_, np.logical_or, np.logical_and, zero, one,
-                         divide=np.logical_and)
-
-    def add(self, a, b):
-        return a or b
-
-    def mul(self, a, b):
-        return a and b
-
-    def try_divide(self, a, c):
-        return a if c else None
-
-    def encode_prob(self, p):
-        _check_unit(p, "bool weight")
-        if p not in (0.0, 1.0):
-            raise ValueError(f"bool weight must be 0 or 1, got {p!r}")
-        return p == 1.0, p == 0.0
-
-    def parse_value(self, token):
-        t = token.strip().lower()
-        if t in ("t", "true", "1"):
-            return True
-        if t in ("f", "false", "0"):
-            return False
-        raise ValueError(f"bad bool weight {token!r}")
-
-    def format_value(self, v):
-        return "T" if v else "F"
-
-
-class NatSemiring(Semiring):
-    name = "nat"
-    supports_division = True
-    zero = 0
-    one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def try_divide(self, a, c):
-        if c == 0 or a % c != 0:
-            return None
-        return a // c
-
-    def encode_prob(self, p):
-        if p == 1.0:
-            return 1, 0
-        if p == 0.0:
-            return 0, 1
-        raise ValueError(f"nat weight must be 0 or 1, got {p!r}")
-
-    def parse_value(self, token):
-        n = int(token)
-        if n < 0:
-            raise ValueError(f"nat weight must be non-negative, got {n}")
-        return n
-
-    def format_value(self, v):
-        return str(v)
-
-
-class ProbSemiring(Semiring):
-    name = "prob"
-    supports_division = True
-    supports_negation = True  # signed escape used only for variable gradients
-    zero = 0.0
-    one = 1.0
-    array_ops = UfuncOps(np.float64, np.add, np.multiply, zero, one,
-                         divide=np.divide)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def try_divide(self, a, c):
-        return None if c == 0.0 else a / c
-
-    def negate(self, a):
-        return -a
-
-    def encode_prob(self, p):
-        _check_unit(p, "probability")
-        return p, 1.0 - p
-
-    def parse_value(self, token):
-        w = float(token)
-        if w < 0.0:
-            raise ValueError(f"prob weight must be non-negative, got {w!r}")
-        return w
+def _log(w):
+    return math.log(w) if w > 0.0 else NEG_INF
 
 
-class LogSemiring(Semiring):
-    """Log-domain weights: add = logaddexp, mul = +, zero = -inf, one = 0."""
+def _unit_pair(what, wrap, p):
+    """(p, 1 - p), each wrapped as an element, for p in [0, 1]."""
+    _check_unit(p, what)
+    return wrap(p), wrap(1.0 - p)
 
-    name = "log"
-    supports_division = True
-    zero = NEG_INF
-    one = 0.0
-    array_ops = UfuncOps(np.float64, np.logaddexp, np.add, zero, one,
-                         divide=np.subtract)
-
-    def add(self, a, b):
-        return logaddexp(a, b)
 
-    def mul(self, a, b):
-        return a + b
+def _log_pair(p):
+    """(log p, log(1 - p)) for p in [0, 1]."""
+    _check_unit(p, "probability")
+    return _log(p), (math.log1p(-p) if p < 1.0 else NEG_INF)
 
-    def try_divide(self, a, c):
-        return None if c == NEG_INF else a - c
 
-    def encode_prob(self, p):
-        _check_unit(p, "probability")
-        return (math.log(p) if p > 0.0 else NEG_INF,
-                math.log1p(-p) if p < 1.0 else NEG_INF)
+def _bit_pair(name, p):
+    """(1, 0) for p = 1 and (0, 1) for p = 0, the only weights of 0/1."""
+    if p == 1.0:
+        return 1, 0
+    if p == 0.0:
+        return 0, 1
+    raise ValueError(f"{name} weight must be 0 or 1, got {p!r}")
 
-    def parse_value(self, token):
-        # weight files carry probabilities; the log happens here
-        w = float(token)
-        if w < 0.0:
-            raise ValueError(f"log-semiring weight must be non-negative, got {w!r}")
-        return math.log(w) if w > 0.0 else NEG_INF
 
-    def format_value(self, v):
-        return f"log:{v!r}"
+def _bool_pair(p):
+    pos, neg = _bit_pair("bool", _check_unit(p, "bool weight"))
+    return pos == 1, neg == 1
 
 
-class ViterbiSemiring(Semiring):
-    name = "viterbi"
-    additively_idempotent = True
-    supports_division = True
-    zero = 0.0
-    one = 1.0
-    array_ops = UfuncOps(np.float64, np.maximum, np.multiply, zero, one,
-                         divide=np.divide)
+def _nonneg_token(what, number, token):
+    w = number(token)
+    if w < 0:
+        raise ValueError(f"{what} must be non-negative, got {w!r}")
+    return w
 
-    def add(self, a, b):
-        return a if a >= b else b
 
-    def mul(self, a, b):
-        return a * b
+def _log_token(what, token):
+    # weight files carry probabilities; the log happens here
+    return _log(_nonneg_token(what, float, token))
 
-    def try_divide(self, a, c):
-        return None if c == 0.0 else a / c
 
-    def encode_prob(self, p):
-        _check_unit(p, "probability")
-        return p, 1.0 - p
+def _unit_token(token):
+    return _check_unit(float(token), "fuzzy weight")
 
-    def parse_value(self, token):
-        w = float(token)
-        if w < 0.0:
-            raise ValueError(f"viterbi weight must be non-negative, got {w!r}")
-        return w
 
+def _bool_token(token):
+    t = token.strip().lower()
+    if t in ("t", "true", "1"):
+        return True
+    if t in ("f", "false", "0"):
+        return False
+    raise ValueError(f"bad bool weight {token!r}")
 
-class TropicalSemiring(Semiring):
-    """Log-space companion of viterbi: add = max, mul = +."""
 
-    name = "tropical"
-    additively_idempotent = True
-    supports_division = True
-    zero = NEG_INF
-    one = 0.0
-    array_ops = UfuncOps(np.float64, np.maximum, np.add, zero, one,
-                         divide=np.subtract)
+def _bit_token(token):
+    b = int(token)
+    if b not in (0, 1):
+        raise ValueError(f"gf2 weight must be 0 or 1, got {token!r}")
+    return b
 
-    def add(self, a, b):
-        return a if a >= b else b
 
-    def mul(self, a, b):
-        return a + b
+def _dual_token(token):
+    if ":" in token:
+        p, t = token.split(":", 1)
+        return DualValue(float(p), float(t))
+    return DualValue(float(token), 0.0)
 
-    def try_divide(self, a, c):
-        return None if c == NEG_INF else a - c
 
-    def encode_prob(self, p):
-        _check_unit(p, "probability")
-        return (math.log(p) if p > 0.0 else NEG_INF,
-                math.log1p(-p) if p < 1.0 else NEG_INF)
+def _one_minus_x(v):
+    return Polynomial.constant(1.0) + Polynomial({((v, 1),): -1.0})
 
-    def parse_value(self, token):
-        w = float(token)
-        if w < 0.0:
-            raise ValueError(f"tropical weight must be non-negative, got {w!r}")
-        return math.log(w) if w > 0.0 else NEG_INF
 
-    def format_value(self, v):
-        return f"log:{v!r}"
+def _poly_token(token):
+    t = token.strip()
+    if t.startswith("X"):
+        return Polynomial.indeterminate(int(t[1:]))
+    if t.startswith("1-X"):
+        return _one_minus_x(int(t[3:]))
+    return Polynomial.constant(float(t))
 
 
-class FuzzySemiring(Semiring):
-    name = "fuzzy"
-    additively_idempotent = True
-    fully_ordered_mul = True
-    zero = 0.0
-    one = 1.0
-    array_ops = UfuncOps(np.float64, np.maximum, np.minimum, zero, one)
+def _poly_label(lit):
+    """X_v for the literal v and 1 - X_v for -v, so the model count becomes
+    the multilinear weight polynomial."""
+    return Polynomial.indeterminate(lit) if lit > 0 else _one_minus_x(-lit)
 
-    def add(self, a, b):
-        return a if a >= b else b
 
-    def mul(self, a, b):
-        return a if a <= b else b
+def _bool_format(v):
+    return "T" if v else "F"
 
-    def encode_prob(self, p):
-        _check_unit(p, "fuzzy weight")
-        return p, 1.0 - p
 
-    def parse_value(self, token):
-        w = float(token)
-        _check_unit(w, "fuzzy weight")
-        return w
+def _log_format(v):
+    return f"log:{v!r}"
 
 
-class GradSemiring(Semiring):
-    """Dual numbers (primal, tangent); one backward pass yields derivatives."""
+def _dual_format(v):
+    return f"({v.primal!r}, {v.tangent!r})"
 
-    name = "grad"
-    supports_negation = True
-    zero = DualValue(0.0, 0.0)
-    one = DualValue(1.0, 0.0)
-    array_ops = DualOps(DualValue)
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def negate(self, a):
-        return DualValue(-a.primal, -a.tangent)
-
-    def encode_prob(self, p):
-        _check_unit(p, "probability")
-        return DualValue(p, 0.0), DualValue(1.0 - p, 0.0)
-
-    def parse_value(self, token):
-        if ":" in token:
-            p, t = token.split(":", 1)
-            return DualValue(float(p), float(t))
-        return DualValue(float(token), 0.0)
-
-    def format_value(self, v):
-        return f"({v.primal!r}, {v.tangent!r})"
-
-
-class GF2Semiring(Semiring):
-    """The two-element field: add = XOR, mul = AND on bits 0/1."""
-
-    name = "gf2"
-    supports_division = True
-    fully_ordered_mul = True
-    supports_negation = True
-    zero = 0
-    one = 1
-    # 1 is the only cancellative element, and a / 1 = a & 1
-    array_ops = UfuncOps(np.int64, np.bitwise_xor, np.bitwise_and, zero, one,
-                         divide=np.bitwise_and)
-
-    def add(self, a, b):
-        return a ^ b
-
-    def mul(self, a, b):
-        return a & b
-
-    def try_divide(self, a, c):
-        return a if c == 1 else None
-
-    def negate(self, a):
-        return a  # -a = a in characteristic 2
-
-    def encode_prob(self, p):
-        if p == 1.0:
-            return 1, 0
-        if p == 0.0:
-            return 0, 1
-        raise ValueError(f"gf2 weight must be 0 or 1, got {p!r}")
-
-    def parse_value(self, token):
-        b = int(token)
-        if b not in (0, 1):
-            raise ValueError(f"gf2 weight must be 0 or 1, got {token!r}")
-        return b
-
-    def format_value(self, v):
-        return str(v)
-
-
-class SensSemiring(Semiring):
-    """Polynomial weights for sensitivity analysis.
-
-    The default labeling maps the positive literal of variable v to the
-    indeterminate X_v and the negative literal to 1 - X_v, so the model
-    count becomes the multilinear weight polynomial.
-    """
-
-    name = "sens"
-    zero = Polynomial()
-    one = Polynomial.constant(1.0)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def default_label(self, lit: int):
-        if lit > 0:
-            return Polynomial.indeterminate(lit)
-        return Polynomial.constant(1.0) + Polynomial({((-lit, 1),): -1.0})
-
-    def encode_prob(self, p):
-        _check_unit(p, "probability")
-        return Polynomial.constant(p), Polynomial.constant(1.0 - p)
-
-    def parse_value(self, token):
-        t = token.strip()
-        if t.startswith("X"):
-            return Polynomial.indeterminate(int(t[1:]))
-        if t.startswith("1-X"):
-            v = int(t[3:])
-            return Polynomial.constant(1.0) + Polynomial({((v, 1),): -1.0})
-        return Polynomial.constant(float(t))
-
+_PROB_PAIR = partial(_unit_pair, "probability", _identity)
 
 _REGISTRY = {
     s.name: s
     for s in (
-        BoolSemiring(),
-        NatSemiring(),
-        ProbSemiring(),
-        LogSemiring(),
-        ViterbiSemiring(),
-        TropicalSemiring(),
-        FuzzySemiring(),
-        GradSemiring(),
-        GF2Semiring(),
-        SensSemiring(),
+        Semiring(
+            "bool", False, True, _or, _and, divide=_and,
+            encode_prob=_bool_pair, parse_value=_bool_token,
+            format_value=_bool_format, additively_idempotent=True,
+            fully_ordered_mul=True,
+            # True is the only cancellative element, and a / True = a and True
+            array_ops=UfuncOps(np.bool_, np.logical_or, np.logical_and, False,
+                               True, divide=np.logical_and)),
+        Semiring(
+            "nat", 0, 1, operator.add, operator.mul, divide=_exact_quotient,
+            encode_prob=partial(_bit_pair, "nat"),
+            parse_value=partial(_nonneg_token, "nat weight", int),
+            format_value=str),
+        # negation is a signed escape used only for variable gradients
+        Semiring(
+            "prob", 0.0, 1.0, operator.add, operator.mul,
+            divide=operator.truediv, negate=operator.neg,
+            encode_prob=_PROB_PAIR,
+            parse_value=partial(_nonneg_token, "prob weight", float),
+            array_ops=UfuncOps(np.float64, np.add, np.multiply, 0.0, 1.0,
+                               divide=np.divide)),
+        # log-domain weights: add = logaddexp, mul = +
+        Semiring(
+            "log", NEG_INF, 0.0, logaddexp, operator.add, divide=operator.sub,
+            encode_prob=_log_pair,
+            parse_value=partial(_log_token, "log-semiring weight"),
+            format_value=_log_format,
+            array_ops=UfuncOps(np.float64, np.logaddexp, np.add, NEG_INF, 0.0,
+                               divide=np.subtract)),
+        Semiring(
+            "viterbi", 0.0, 1.0, _max, operator.mul, divide=operator.truediv,
+            encode_prob=_PROB_PAIR,
+            parse_value=partial(_nonneg_token, "viterbi weight", float),
+            additively_idempotent=True,
+            array_ops=UfuncOps(np.float64, np.maximum, np.multiply, 0.0, 1.0,
+                               divide=np.divide)),
+        # the log-space companion of viterbi: add = max, mul = +
+        Semiring(
+            "tropical", NEG_INF, 0.0, _max, operator.add, divide=operator.sub,
+            encode_prob=_log_pair,
+            parse_value=partial(_log_token, "tropical weight"),
+            format_value=_log_format, additively_idempotent=True,
+            array_ops=UfuncOps(np.float64, np.maximum, np.add, NEG_INF, 0.0,
+                               divide=np.subtract)),
+        Semiring(
+            "fuzzy", 0.0, 1.0, _max, _min,
+            encode_prob=partial(_unit_pair, "fuzzy weight", _identity),
+            parse_value=_unit_token, additively_idempotent=True,
+            fully_ordered_mul=True,
+            array_ops=UfuncOps(np.float64, np.maximum, np.minimum, 0.0, 1.0)),
+        # dual numbers (primal, tangent): one backward pass yields derivatives
+        Semiring(
+            "grad", DualValue(0.0, 0.0), DualValue(1.0, 0.0), operator.add,
+            operator.mul, negate=_negate_dual,
+            encode_prob=partial(_unit_pair, "probability",
+                                partial(DualValue, tangent=0.0)),
+            parse_value=_dual_token, format_value=_dual_format,
+            array_ops=DualOps(DualValue)),
+        # the two-element field: add = XOR, mul = AND on bits 0/1, -a = a
+        Semiring(
+            "gf2", 0, 1, operator.xor, operator.and_, divide=operator.and_,
+            negate=_identity, encode_prob=partial(_bit_pair, "gf2"),
+            parse_value=_bit_token, format_value=str, fully_ordered_mul=True,
+            # 1 is the only cancellative element, and a / 1 = a & 1
+            array_ops=UfuncOps(np.int64, np.bitwise_xor, np.bitwise_and, 0, 1,
+                               divide=np.bitwise_and)),
+        # polynomial weights for sensitivity analysis
+        Semiring(
+            "sens", Polynomial(), Polynomial.constant(1.0), operator.add,
+            operator.mul,
+            encode_prob=partial(_unit_pair, "probability",
+                                Polynomial.constant),
+            parse_value=_poly_token, default_label=_poly_label),
     )
 }
 

@@ -410,6 +410,21 @@ def test_models_to_circuit_roundtrip(rng):
         assert count == len(enumerate_models(phi))
 
 
+@pytest.mark.parametrize("phi,leaf", [(Or(Top(), Bottom()), TRUE),
+                                      (And(Top(), Not(Top())), FALSE)])
+def test_compile_to_mods_without_variables(phi, leaf):
+    b = CircuitBuilder()
+    want = b.build(b.true() if leaf == TRUE else b.false(), num_vars=0,
+                   deterministic_by_construction=True)
+    got = compile_to_mods(phi)
+    for field in ("kind", "lit", "offsets", "flat"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert getattr(got, field).dtype == getattr(want, field).dtype
+    assert got.kinds == [leaf]
+    assert (got.root, got.num_vars) == (want.root, want.num_vars) == (0, 0)
+    assert got.deterministic_by_construction
+
+
 def test_write_then_parse_preserves_semantics(rng, tmp_path):
     prob = make_semiring("prob")
     for i in range(5):

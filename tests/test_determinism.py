@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from amckit import (Circuit, StructureError, circuit_to_formula,
                     default_labels, grad_amc, layers, make_semiring,
                     models_to_circuit, smooth, structural_gate)
-from amckit.circuits import FALSE, LIT, PROD, SUM, TRUE
+from amckit.circuits import FALSE, LIT, PROD, SUM, TRUE, determinism_budget
 from amckit.formulas import evaluate
 
 
@@ -216,4 +216,21 @@ def test_gate_report_keeps_the_gate_budget():
         structural_gate(_dnf20(lambda cube: cube[:-1]), make_semiring("prob"),
                         budget=5)
     assert "unverified within budget 5" in str(err.value)
+    assert err.value.report.deterministic == "unverified"
+
+
+@pytest.mark.parametrize("first_cube", [lambda cube: cube[:-1],
+                                        lambda cube: cube + cube[:1]],
+                         ids=["unsmooth", "tangled"])
+def test_scope_refusal_enumerates_no_models(first_cube):
+    # smooth() is the fix for the first and returns a circuit that is
+    # checked again, so enumerating this one's 2^20 assignments is waste
+    def enumerate_models(circuit, lits):
+        raise AssertionError("determinism enumerated")
+
+    circuit = _dnf20(first_cube)
+    with mock.patch.object(layers, "_bool_forward", enumerate_models):
+        with pytest.raises(StructureError) as err:
+            structural_gate(circuit, make_semiring("prob"))
+    assert f"unverified within budget {determinism_budget()}" in str(err.value)
     assert err.value.report.deterministic == "unverified"

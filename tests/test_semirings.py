@@ -1,6 +1,7 @@
 """Semiring contract tests: identities, laws, and capability soundness."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -221,3 +222,188 @@ def test_sens_default_labels():
     S = make_semiring("sens")
     assert S.default_label(3) == Polynomial.indeterminate(3)
     assert S.default_label(-3) == Polynomial.constant(1.0) + Polynomial({((3, 1),): -1.0})
+
+
+# --- the public surface of every built-in, pinned -----------------------------
+
+PROBS = (0, 0.25, 1, -0.1, 1.5, float("nan"))
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or "Type: message" of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _unit(what):
+    """encode_prob outcomes over PROBS of a (p, 1 - p) encoding."""
+    return ("(0, 1.0)", "(0.25, 0.75)", "(1, 0.0)",
+            f"ValueError: {what} -0.1 outside [0, 1]",
+            f"ValueError: {what} 1.5 outside [0, 1]",
+            f"ValueError: {what} nan outside [0, 1]")
+
+
+def _bits(name):
+    return ("(0, 1)", f"ValueError: {name} weight must be 0 or 1, got 0.25",
+            "(1, 0)", f"ValueError: {name} weight must be 0 or 1, got -0.1",
+            f"ValueError: {name} weight must be 0 or 1, got 1.5",
+            f"ValueError: {name} weight must be 0 or 1, got nan")
+
+
+LOG_PAIRS = ("(-inf, 0.0)", "(-1.3862943611198906, -0.2876820724517809)",
+             "(0.0, -inf)", *_unit("probability")[3:])
+NO_FLOAT = "ValueError: could not convert string to float: 'x'"
+NO_INT = "ValueError: invalid literal for int() with base 10: 'x'"
+
+
+def _no_inverse(name):
+    return (f"UnsupportedOperationError: semiring '{name}' has no additive "
+            "inverses",) * 2
+
+
+def _nonneg(what, log=False):
+    return {"0.25": "-1.3862943611198906" if log else "0.25",
+            "0": "-inf" if log else "0.0", "1": "0.0" if log else "1.0",
+            "-0.5": f"ValueError: {what} must be non-negative, got -0.5",
+            "x": NO_FLOAT}
+
+
+# try_divide | is_ordered_mul on (zero, zero), (one, zero), (zero, one),
+# (one, one), then the family's extra pairs
+CANCEL = ("None | 'left'", "None | 'right'")
+UFUNC, DUAL, NONE = "UfuncOps", "DualOps", "NoneType"
+
+SURFACE = {
+    "bool": dict(
+        identities=("False", "True"), flags=(True, True, True, False, False),
+        ops=UFUNC,
+        encode=("(False, True)",
+                "ValueError: bool weight must be 0 or 1, got 0.25",
+                "(True, False)", "ValueError: bool weight -0.1 outside [0, 1]",
+                "ValueError: bool weight 1.5 outside [0, 1]",
+                "ValueError: bool weight nan outside [0, 1]"),
+        parse={"t": "True", " True ": "True", "1": "True", "F": "False",
+               "false": "False", "0": "False",
+               "yes": "ValueError: bad bool weight 'yes'"},
+        format=("'F'", "'T'"), negate=_no_inverse("bool"),
+        label=("True", "True"), pairs=(),
+        divide=(*CANCEL, "False | 'left'", "True | 'left'")),
+    "nat": dict(
+        identities=("0", "1"), flags=(False, True, False, False, True),
+        ops=NONE, encode=_bits("nat"),
+        parse={"0": "0", "7": "7", "x": NO_INT,
+               "-2": "ValueError: nat weight must be non-negative, got -2",
+               "1.5": "ValueError: invalid literal for int() with base 10: "
+                      "'1.5'"},
+        format=("'0'", "'1'"), negate=_no_inverse("nat"), label=("1", "1"),
+        pairs=((5, 2), (6, 2)),
+        divide=(*CANCEL, "0 | 'left'", "1 | 'left'", "None | None",
+                "3 | None")),
+    "prob": dict(
+        identities=("0.0", "1.0"), flags=(False, True, False, True, True),
+        ops=UFUNC, encode=_unit("probability"),
+        parse={**_nonneg("prob weight"), "1e300": "1e+300"},
+        format=("'0.0'", "'1.0'"), negate=("-0.0", "-1.0"),
+        label=("1.0", "1.0"), pairs=((0.5, 0.25),),
+        divide=(*CANCEL, "0.0 | 'left'", "1.0 | 'left'", "2.0 | None")),
+    "log": dict(
+        identities=("-inf", "0.0"), flags=(False, True, False, False, True),
+        ops=UFUNC, encode=LOG_PAIRS,
+        parse=_nonneg("log-semiring weight", log=True),
+        format=("'log:-inf'", "'log:0.0'"), negate=_no_inverse("log"),
+        label=("0.0", "0.0"), pairs=((-0.5, -0.25),),
+        divide=(*CANCEL, "-inf | 'left'", "0.0 | 'left'", "-0.25 | None")),
+    "viterbi": dict(
+        identities=("0.0", "1.0"), flags=(True, True, False, False, False),
+        ops=UFUNC, encode=_unit("probability"),
+        parse=_nonneg("viterbi weight"),
+        format=("'0.0'", "'1.0'"), negate=_no_inverse("viterbi"),
+        label=("1.0", "1.0"), pairs=((0.5, 0.25),),
+        divide=(*CANCEL, "0.0 | 'left'", "1.0 | 'left'", "2.0 | None")),
+    "tropical": dict(
+        identities=("-inf", "0.0"), flags=(True, True, False, False, False),
+        ops=UFUNC, encode=LOG_PAIRS,
+        parse=_nonneg("tropical weight", log=True),
+        format=("'log:-inf'", "'log:0.0'"), negate=_no_inverse("tropical"),
+        label=("0.0", "0.0"), pairs=((-0.5, -0.25),),
+        divide=(*CANCEL, "-inf | 'left'", "0.0 | 'left'", "-0.25 | None")),
+    "fuzzy": dict(
+        identities=("0.0", "1.0"), flags=(True, False, True, False, False),
+        ops=UFUNC, encode=_unit("fuzzy weight"),
+        parse={"0.25": "0.25", "1": "1.0", "x": NO_FLOAT,
+               "1.5": "ValueError: fuzzy weight 1.5 outside [0, 1]",
+               "-0.1": "ValueError: fuzzy weight -0.1 outside [0, 1]"},
+        format=("'0.0'", "'1.0'"), negate=_no_inverse("fuzzy"),
+        label=("1.0", "1.0"), pairs=((0.5, 0.25),),
+        divide=(*CANCEL, "None | 'left'", "None | 'left'", "None | 'right'")),
+    "grad": dict(
+        identities=("DualValue(primal=0.0, tangent=0.0)",
+                    "DualValue(primal=1.0, tangent=0.0)"),
+        flags=(False, False, False, True, True), ops=DUAL,
+        encode=("(DualValue(primal=0, tangent=0.0), "
+                "DualValue(primal=1.0, tangent=0.0))",
+                "(DualValue(primal=0.25, tangent=0.0), "
+                "DualValue(primal=0.75, tangent=0.0))",
+                "(DualValue(primal=1, tangent=0.0), "
+                "DualValue(primal=0.0, tangent=0.0))",
+                *_unit("probability")[3:]),
+        parse={"0.5": "DualValue(primal=0.5, tangent=0.0)",
+               "0.5:1.25": "DualValue(primal=0.5, tangent=1.25)",
+               "a:1": "ValueError: could not convert string to float: 'a'",
+               "x": NO_FLOAT},
+        format=("'(0.0, 0.0)'", "'(1.0, 0.0)'"),
+        negate=("DualValue(primal=-0.0, tangent=-0.0)",
+                "DualValue(primal=-1.0, tangent=-0.0)"),
+        label=("DualValue(primal=1.0, tangent=0.0)",) * 2, pairs=(),
+        divide=(*CANCEL, "None | 'left'", "None | 'left'")),
+    "gf2": dict(
+        identities=("0", "1"), flags=(False, True, True, True, True),
+        ops=UFUNC, encode=_bits("gf2"),
+        parse={"0": "0", "1": "1", "x": NO_INT,
+               "2": "ValueError: gf2 weight must be 0 or 1, got '2'"},
+        format=("'0'", "'1'"), negate=("0", "1"), label=("1", "1"), pairs=(),
+        divide=(*CANCEL, "0 | 'left'", "1 | 'left'")),
+    "sens": dict(
+        identities=("0", "1.0"), flags=(False, False, False, False, True),
+        ops=NONE, encode=("(0, 1.0)", "(0.25, 0.75)", "(1.0, 0)",
+                          *_unit("probability")[3:]),
+        parse={"X4": "1.0*X4", "1-X2": "1.0 + -1.0*X2", "0.25": "0.25",
+               "Xa": "ValueError: invalid literal for int() with base 10: "
+                     "'a'"},
+        format=("'0'", "'1.0'"), negate=_no_inverse("sens"),
+        label=("1.0*X3", "1.0 + -1.0*X3"), pairs=(),
+        divide=(*CANCEL, "None | 'left'", "None | 'left'")),
+}
+
+
+def _surface(S, pairs, tokens):
+    ends = [(S.zero, S.zero), (S.one, S.zero), (S.zero, S.one), (S.one, S.one)]
+    return dict(
+        identities=(repr(S.zero), repr(S.one)),
+        flags=(S.additively_idempotent, S.supports_division,
+               S.fully_ordered_mul, S.supports_negation, S.needs_determinism),
+        ops=type(S.array_ops).__name__,
+        encode=tuple(_outcome(S.encode_prob, p) for p in PROBS),
+        parse={t: _outcome(S.parse_value, t) for t in tokens},
+        format=(_outcome(S.format_value, S.zero),
+                _outcome(S.format_value, S.one)),
+        negate=(_outcome(S.negate, S.zero), _outcome(S.negate, S.one)),
+        label=(_outcome(S.default_label, 3), _outcome(S.default_label, -3)),
+        divide=tuple(f"{_outcome(S.try_divide, a, c)} | "
+                     f"{_outcome(S.is_ordered_mul, a, c)}"
+                     for a, c in ends + list(pairs)),
+    )
+
+
+@pytest.mark.parametrize("name", ALL_SEMIRINGS)
+def test_builtin_surface(name):
+    want = dict(SURFACE[name])
+    pairs = want.pop("pairs")
+    S = make_semiring(name)
+    assert repr(S) == f"<semiring {name}>"
+    assert _surface(S, pairs, want["parse"]) == want
+    copy = pickle.loads(pickle.dumps(S))
+    assert repr(copy) == repr(S)
+    assert _surface(copy, pairs, want["parse"]) == want
