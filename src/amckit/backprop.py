@@ -3,8 +3,11 @@
 All gradients are leaf adjoints folded per literal: on a smooth,
 decomposable circuit (deterministic too when the semiring is not additively
 idempotent) the entry for literal l equals the model count of the circuit
-conditioned on l. The four variants are one backward sweep; they differ
-only in how a product-node child gets the product of its siblings. A child
+conditioned on l. With ``check`` (the default) ``forward`` and
+``grad_amc`` first pass the circuit through ``structural_gate``, whose
+determinism rule has no per-call override. The four variants are one
+backward sweep; they differ only in how a product-node child gets the
+product of its siblings. A child
 is divided out of the node value where the variant divides, the child is
 cancellative and the node did not underflow (its value is zero although
 none of its children is, so dividing it would lose the product of the
@@ -79,18 +82,20 @@ class ForwardTape:
         return self._array
 
 
-def structural_gate(circuit: Circuit, semiring, trust_deterministic=False,
-                    budget=None):
+def structural_gate(circuit: Circuit, semiring):
     """Refuse evaluation when structure cannot justify the semiring.
 
     Smoothness and decomposability are always required. Determinism is
-    required for non-idempotent semirings unless verified within budget,
-    attested by construction (d4 parses, DNF-of-models builders), or
-    explicitly trusted. A circuit already refused as not smooth or not
+    required for non-idempotent semirings and checked exhaustively within
+    the budget (``determinism_budget()``): the verdict is cached on the
+    circuit, and a ``refuted`` circuit is refused whatever it promises.
+    Above the budget the check cannot reach, and its ``unverified`` is
+    waived only for a circuit built with ``deterministic_by_construction=
+    True`` (d4 parses, the DNF and GF(2) builders); for such a circuit the
+    gate compares ``num_vars`` with the budget and scans nothing. A circuit already refused as not smooth or not
     decomposable enumerates no models: determinism is asked for at budget
-    0, and an ``unverified`` result is worded with ``budget``. A refusal's
-    report holds what the gate checked, determinism under the budget it
-    asked for.
+    0. A refusal's report holds what the gate checked, determinism under
+    the budget it asked for.
     """
     problems = []
     if not circuit.is_smooth():
@@ -98,26 +103,28 @@ def structural_gate(circuit: Circuit, semiring, trust_deterministic=False,
     if not circuit.is_decomposable():
         problems.append("circuit is not decomposable")
     checked = 0  # not checked, so the report enumerates nothing
-    if semiring.needs_determinism and not circuit.deterministic_by_construction:
-        checked = 0 if problems else budget
-        status = circuit.determinism_status(checked)
-        if status == "refuted":
-            problems.append("circuit is not deterministic")
-        elif status == "unverified" and not trust_deterministic:
-            problems.append(
-                "determinism unverified within budget "
-                f"{determinism_budget() if budget is None else budget}"
-                " (pass trust_deterministic=True to proceed)"
-            )
+    if semiring.needs_determinism:
+        budget = determinism_budget()
+        promised = circuit.deterministic_by_construction
+        if not promised or circuit.num_vars <= budget:
+            checked = 0 if problems else budget
+            status = circuit.determinism_status(checked)
+            if status == "refuted":
+                problems.append("circuit is not deterministic")
+            elif status == "unverified" and not promised:
+                problems.append(
+                    f"determinism unverified within budget {budget} (build the"
+                    " circuit with deterministic_by_construction=True to "
+                    "proceed)")
     if problems:
         raise StructureError("; ".join(problems), validate(circuit, checked))
 
 
-def forward(circuit: Circuit, labels: LiteralMap, semiring, *, check=True,
-            trust_deterministic=False) -> ForwardTape:
+def forward(circuit: Circuit, labels: LiteralMap, semiring, *,
+            check=True) -> ForwardTape:
     """Evaluate every node bottom-up; the root equals the model count."""
     if check:
-        structural_gate(circuit, semiring, trust_deterministic)
+        structural_gate(circuit, semiring)
     ops = getattr(semiring, "array_ops", None)
     if ops is not None:
         return ForwardTape(None, circuit.root,
@@ -320,7 +327,7 @@ VARIANTS = {
 
 
 def grad_amc(circuit: Circuit, labels: LiteralMap, semiring, algo="opt", *,
-             check=True, trust_deterministic=False, stats=None):
+             check=True, stats=None):
     """Model count and per-literal conditioned counts in one round trip.
 
     Returns ``(amc, gradient)``. Literals with no leaf in the circuit get
@@ -331,8 +338,7 @@ def grad_amc(circuit: Circuit, labels: LiteralMap, semiring, algo="opt", *,
     except KeyError:
         valid = ", ".join(sorted(VARIANTS))
         raise ConfigError(f"unknown variant {algo!r}; valid: {valid}") from None
-    tape = forward(circuit, labels, semiring, check=check,
-                   trust_deterministic=trust_deterministic)
+    tape = forward(circuit, labels, semiring, check=check)
     grads = backward(circuit, tape, semiring, stats=stats)
     return tape.root_value, grads
 

@@ -78,12 +78,11 @@ def uniform_labels(circuit: Circuit, semiring, seed: int) -> LiteralMap:
 
 
 def measure(circuit_id: str, circuit: Circuit, labels, semiring, variants,
-            repeat=10, warmup=1, trust_deterministic=False):
+            repeat=10, warmup=1):
     """Time forward and each backward variant; one record per (variant, rep)."""
     records = []
     for _ in range(warmup):
-        tape = forward(circuit, labels, semiring,
-                       trust_deterministic=trust_deterministic)
+        tape = forward(circuit, labels, semiring)
         for name in variants:
             try:
                 VARIANTS[name](circuit, tape, semiring)
@@ -91,8 +90,7 @@ def measure(circuit_id: str, circuit: Circuit, labels, semiring, variants,
                 pass
     for rep in range(repeat):
         t0 = time.perf_counter_ns()
-        tape = forward(circuit, labels, semiring,
-                       trust_deterministic=trust_deterministic)
+        tape = forward(circuit, labels, semiring)
         forward_ms = (time.perf_counter_ns() - t0) / 1e6
         for name in variants:
             stats = {}
@@ -116,7 +114,7 @@ def measure(circuit_id: str, circuit: Circuit, labels, semiring, variants,
 
 
 def run_suite(named_circuits, semiring, variants, repeat=10, warmup=1,
-              seed=1234, trust_deterministic=False):
+              seed=1234):
     """Benchmark a list of (id, circuit or exception) pairs.
 
     Failures become records with the error column set; the run continues.
@@ -131,8 +129,7 @@ def run_suite(named_circuits, semiring, variants, repeat=10, warmup=1,
         try:
             labels = uniform_labels(circuit, semiring, seed)
             records += measure(circuit_id, circuit, labels, semiring, variants,
-                               repeat=repeat, warmup=warmup,
-                               trust_deterministic=trust_deterministic)
+                               repeat=repeat, warmup=warmup)
         except AmckitError as exc:
             records.append(BenchRecord(circuit_id, circuit.node_count,
                                        circuit.edge_count, semiring.name, "-",

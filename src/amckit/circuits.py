@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, ParseError, StructureError
-from .formulas import (And, Bottom, Lit, Or, Top, enumerate_models,
+from .formulas import (And, Bottom, Lit, Or, Top, _balanced, enumerate_models,
                        formula_variables)
 from .literals import LiteralMap, var_of
 
@@ -48,7 +48,6 @@ class StructureReport:
     smooth: bool
     decomposable: bool
     deterministic: str  # "verified" | "refuted" | "unverified"
-    scopes: list
 
 
 class Circuit:
@@ -63,7 +62,7 @@ class Circuit:
 
     __slots__ = ("kind", "lit", "offsets", "flat", "root", "num_vars",
                  "deterministic_by_construction", "_kinds", "_lits",
-                 "_children", "_max_arity", "_rows", "_scopes", "_smooth",
+                 "_children", "_max_arity", "_rows", "_smooth",
                  "_decomposable", "_determinism", "_layers")
 
     def __init__(self, kinds, lits, children, root, num_vars,
@@ -118,7 +117,6 @@ class Circuit:
         self._kinds = self._lits = self._children = None
         self._max_arity = int(arity.max(initial=0))
         self._rows = None  # packed scopes, see layers.scope_rows
-        self._scopes = None
         self._smooth = None
         self._decomposable = None
         self._determinism = None  # the exhaustive check's verdict, once run
@@ -157,9 +155,7 @@ class Circuit:
         return self._max_arity
 
     def scopes(self):
-        if self._scopes is None:
-            self._scopes = compute_scopes(self)
-        return self._scopes
+        return compute_scopes(self)
 
     def _scope_rows(self):
         if self._rows is None:
@@ -310,7 +306,6 @@ def validate(circuit: Circuit, budget=None) -> StructureReport:
         smooth=circuit.is_smooth(),
         decomposable=circuit.is_decomposable(),
         deterministic=circuit.determinism_status(budget),
-        scopes=circuit.scopes(),
     )
 
 
@@ -833,16 +828,6 @@ def compile_to_mods(phi, variables=None) -> Circuit:
         variables = formula_variables(phi)
     return models_to_circuit(enumerate_models(phi, variables),
                              max(variables, default=0))
-
-
-def _balanced(op, parts):
-    """op folded over parts as a balanced tree, so its depth is logarithmic."""
-    while len(parts) > 1:
-        paired = [op(parts[j], parts[j + 1]) for j in range(0, len(parts) - 1, 2)]
-        if len(parts) % 2:
-            paired.append(parts[-1])
-        parts = paired
-    return parts[0]
 
 
 def circuit_to_formula(circuit: Circuit):

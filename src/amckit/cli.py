@@ -4,8 +4,9 @@ Real-valued outputs print with shortest round-trip precision so identical
 computations diff as identical text; log-domain semirings print with a
 ``log:`` prefix to avoid silent exponentiation.
 
-Exit codes: 0 ok, 2 usage, 3 parse error, 4 structural gate / validation
-failure, 5 unsupported operation, 6 oracle scale guard, 1 anything else.
+Exit codes: 0 ok, 2 usage, 3 parse error or unreadable input, 4 structural
+gate / validation failure, 5 unsupported operation, 6 oracle scale guard, 1
+anything else.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ def _print_grad_lines(grads, semiring, out):
 def _cmd_amc(args, out):
     semiring = make_semiring(args.semiring)
     circuit, labels = _load_circuit(args, semiring)
-    tape = forward(circuit, labels, semiring,
-                   trust_deterministic=args.trust_deterministic)
+    tape = forward(circuit, labels, semiring)
     print(semiring.format_value(tape.root_value), file=out)
     return 0
 
@@ -59,8 +59,7 @@ def _cmd_amc(args, out):
 def _cmd_grad(args, out):
     semiring = make_semiring(args.semiring)
     circuit, labels = _load_circuit(args, semiring)
-    _, grads = grad_amc(circuit, labels, semiring, algo=args.algo,
-                        trust_deterministic=args.trust_deterministic)
+    _, grads = grad_amc(circuit, labels, semiring, algo=args.algo)
     if args.per_variable:
         values = variable_gradient(grads, semiring)
         for v, value in enumerate(values, 1):
@@ -118,8 +117,7 @@ def _cmd_bench(args, out):
                 named.append((os.path.basename(path), exc))
     records = bench_mod.run_suite(
         named, semiring, variants, repeat=args.repeat, warmup=args.warmup,
-        seed=args.seed, trust_deterministic=args.trust_deterministic,
-    )
+        seed=args.seed)
     out.write(bench_mod.records_to_csv(records))
     return 0
 
@@ -157,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--semiring", required=True, choices=SEMIRING_NAMES)
         p.add_argument("--smooth", action="store_true",
                        help="apply the smoothing transform before evaluating")
-        p.add_argument("--trust-deterministic", action="store_true",
-                       dest="trust_deterministic",
-                       help="accept unverified determinism")
 
     p_amc = sub.add_parser("amc", help="model count of a circuit")
     add_common(p_amc)
@@ -190,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeat", type=int, default=10)
     p_bench.add_argument("--warmup", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=1234)
-    p_bench.add_argument("--trust-deterministic", action="store_true",
-                         dest="trust_deterministic")
 
     p_val = sub.add_parser("validate", help="structural property report")
     p_val.add_argument("--circuit", required=True)
@@ -215,6 +208,7 @@ _HANDLERS = {
 # the exit code of each error class, most specific class first
 _EXIT_CODES = (
     (ParseError, EXIT_PARSE),
+    (OSError, EXIT_PARSE),
     (StructureError, EXIT_STRUCTURE),
     (UnsupportedOperationError, EXIT_UNSUPPORTED),
     (ScaleError, EXIT_SCALE),
@@ -226,7 +220,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args, sys.stdout)
-    except AmckitError as exc:
+    except (AmckitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 

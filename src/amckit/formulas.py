@@ -245,6 +245,16 @@ def oracle_hessian(phi, labels: LiteralMap, semiring, variables=None,
     return rows
 
 
+def _balanced(op, parts):
+    """op folded over parts as a balanced tree, so its depth is logarithmic."""
+    while len(parts) > 1:
+        paired = [op(parts[j], parts[j + 1]) for j in range(0, len(parts) - 1, 2)]
+        if len(parts) % 2:
+            paired.append(parts[-1])
+        parts = paired
+    return parts[0]
+
+
 def read_dimacs(path):
     """Read a DIMACS CNF file; returns (formula, header variable count)."""
     num_vars = None
@@ -257,7 +267,8 @@ def read_dimacs(path):
                 continue
             if line.startswith("p"):
                 parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
+                if (len(parts) != 4 or parts[1] != "cnf"
+                        or not (parts[2].isdecimal() and parts[3].isdecimal())):
                     raise ParseError(path, lineno, "bad DIMACS header")
                 num_vars, num_clauses = int(parts[2]), int(parts[3])
                 continue
@@ -278,12 +289,6 @@ def read_dimacs(path):
     if num_clauses is not None and len(clauses) != num_clauses:
         raise ParseError(path, 1,
                          f"header declares {num_clauses} clauses, found {len(clauses)}")
-    formula = Top()
-    first = True
-    for lits in clauses:
-        clause = Bottom() if not lits else None
-        for l in lits:
-            clause = Lit(l) if clause is None else Or(clause, Lit(l))
-        formula = clause if first else And(formula, clause)
-        first = False
-    return formula, num_vars
+    clauses = [_balanced(Or, [Lit(l) for l in lits]) if lits else Bottom()
+               for lits in clauses]
+    return (_balanced(And, clauses) if clauses else Top()), num_vars

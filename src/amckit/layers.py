@@ -279,9 +279,10 @@ def _cumulative_loo(ops, child):
     return ops.mul(suffix, prefix)
 
 
-# words gathered per block at most (8 MiB): a group of GROUP_EDGES edges
-# would otherwise gather 128 MiB for a chunk of 65,536 assignments
-BLOCK_WORDS = 1 << 20
+# words per block at most (64 MiB) in one node array and in the widest
+# group's gather: unbounded, a chunk of 65,536 assignments holds 8 KiB per
+# node, and a group of GROUP_EDGES edges gathers 128 MiB
+BLOCK_WORDS = 1 << 23
 _ALL = ~np.uint64(0)
 
 
@@ -306,7 +307,7 @@ def sat_counts(circuit, draws):
                 for g in reversed(lay.groups)]
     leaves = _OrScatter(lay.leaf_slots)
     sat, counts = 0, np.zeros(2 * nv, dtype=np.int64)
-    for lo, hi in _word_blocks(lay, len(real)):
+    for lo, hi in _word_blocks(lay, len(real), circuit.node_count):
         values = _bool_forward(circuit, lits[:, lo:hi])
         adj = np.zeros_like(values)
         adj[circuit.root] = real[lo:hi]
@@ -323,12 +324,20 @@ def sat_counts(circuit, draws):
     return sat, counts
 
 
-def _word_blocks(lay, words, rows=1):
+def _word_blocks(lay, words, rows):
     """``(lo, hi)`` ranges of ``words`` words that keep the widest group's
-    gather, and ``rows`` rows, at ``BLOCK_WORDS`` words (a word at least)."""
+    gather, and an array of ``rows`` node rows, at ``BLOCK_WORDS`` words (a
+    word at least), in as few blocks as that allows.
+
+    Widths differ by one word at most, so no block is a short remainder: a
+    pass's node arrays are all about one size, and where that size is above
+    glibc's mmap threshold ceiling (32 MiB) each is mapped and unmapped
+    whole, where a remainder below it would be left in the heap.
+    """
     width = max([rows] + [g.children.size for g in lay.groups])
-    step = max(1, BLOCK_WORDS // width)
-    return [(lo, min(lo + step, words)) for lo in range(0, words, step)]
+    count = -(-words // max(1, BLOCK_WORDS // width))
+    cuts = [words * i // count for i in range(count + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _fold(circuit, leaf_rows, fill):

@@ -23,6 +23,7 @@ from .literals import LiteralMap, literal_order
 from .semirings import NEG_INF, DualValue, make_semiring
 
 _BOOL = make_semiring("bool")
+_PROB = make_semiring("prob")
 _LOG = make_semiring("log")
 _GRAD = make_semiring("grad")
 _VITERBI = make_semiring("viterbi")
@@ -53,25 +54,24 @@ class BernoulliParams:
         base = self.probs[v - 1]
         return base if lit > 0 else 1.0 - base
 
-    def _labels(self, mapper) -> LiteralMap:
-        n = self.num_vars
-        out = LiteralMap(n, mapper(1.0))
-        for v in range(1, n + 1):
-            out.set(v, mapper(self.probs[v - 1]))
-            out.set(-v, mapper(1.0 - self.probs[v - 1]))
-        return out
+    def _labels(self, fill, encode) -> LiteralMap:
+        """Every variable's ``encode(p)``, a (positive, negative) pair."""
+        pairs = [encode(float(p)) for p in self.probs]
+        return LiteralMap.from_order(self.num_vars, fill,
+                                     [pos for pos, _ in pairs]
+                                     + [neg for _, neg in pairs])
 
     def prob_labels(self) -> LiteralMap:
-        return self._labels(float)
+        return self._labels(_PROB.one, _PROB.encode_prob)
 
     def log_labels(self) -> LiteralMap:
-        return self._labels(lambda p: math.log(p) if p > 0.0 else NEG_INF)
+        return self._labels(_LOG.one, _LOG.encode_prob)
 
     def entropy_labels(self) -> LiteralMap:
         # (p, -p ln p), with 0 ln 0 = 0 by continuity
-        return self._labels(
-            lambda p: DualValue(p, -p * math.log(p) if p > 0.0 else 0.0)
-        )
+        def dual(p):
+            return DualValue(p, -p * math.log(p) if p > 0.0 else 0.0)
+        return self._labels(dual(1.0), lambda p: (dual(p), dual(1.0 - p)))
 
     def seeded_dual_labels(self, seed_literal: int) -> LiteralMap:
         n = self.num_vars
@@ -99,8 +99,7 @@ def _require_params(circuit: Circuit, params: BernoulliParams):
         )
 
 
-def em_conditionals(circuit: Circuit, params: BernoulliParams,
-                    trust_deterministic=False) -> LiteralMap:
+def em_conditionals(circuit: Circuit, params: BernoulliParams) -> LiteralMap:
     """Conditional probabilities p(l | circuit) for every literal.
 
     One log-domain gradient pass: exp(grad_log[l] + log alpha(l) - amc_log),
@@ -108,8 +107,7 @@ def em_conditionals(circuit: Circuit, params: BernoulliParams,
     """
     _require_params(circuit, params)
     labels = params.log_labels()
-    amc_log, grads = grad_amc(circuit, labels, _LOG,
-                              trust_deterministic=trust_deterministic)
+    amc_log, grads = grad_amc(circuit, labels, _LOG)
     if amc_log == NEG_INF:
         raise AmckitError("conditionals undefined: the circuit has probability 0")
     out = LiteralMap(circuit.num_vars, 0.0)
@@ -119,8 +117,7 @@ def em_conditionals(circuit: Circuit, params: BernoulliParams,
     return out
 
 
-def conditional_entropy(circuit: Circuit, params: BernoulliParams,
-                        trust_deterministic=False):
+def conditional_entropy(circuit: Circuit, params: BernoulliParams):
     """Shannon entropy of the model distribution and its conditioned values.
 
     Returns ``(H, per_literal)`` in nats, where H = -sum over models of
@@ -128,8 +125,7 @@ def conditional_entropy(circuit: Circuit, params: BernoulliParams,
     of the circuit conditioned on l (unnormalized).
     """
     _require_params(circuit, params)
-    amc, grads = grad_amc(circuit, params.entropy_labels(), _GRAD,
-                          trust_deterministic=trust_deterministic)
+    amc, grads = grad_amc(circuit, params.entropy_labels(), _GRAD)
     per_literal = LiteralMap(circuit.num_vars, 0.0)
     for lit in per_literal.literals():
         per_literal.set(lit, grads.get(lit).tangent)
@@ -212,8 +208,8 @@ def indecater_estimate(circuit: Circuit, params: BernoulliParams,
     return root_count / total, g_hat, stderr
 
 
-def hessian_row(circuit: Circuit, params: BernoulliParams, y: int,
-                trust_deterministic=False) -> LiteralMap:
+def hessian_row(circuit: Circuit, params: BernoulliParams,
+                y: int) -> LiteralMap:
     """Row y of the second-derivative matrix of the weighted model count.
 
     One dual-number gradient pass with the tangent seeded at literal y;
@@ -223,8 +219,7 @@ def hessian_row(circuit: Circuit, params: BernoulliParams, y: int,
     _require_params(circuit, params)
     if y == 0 or abs(y) > circuit.num_vars:
         raise ValueError(f"literal {y} outside the circuit's variables")
-    _, grads = grad_amc(circuit, params.seeded_dual_labels(y), _GRAD,
-                        trust_deterministic=trust_deterministic)
+    _, grads = grad_amc(circuit, params.seeded_dual_labels(y), _GRAD)
     out = LiteralMap(circuit.num_vars, 0.0)
     for lit in out.literals():
         out.set(lit, grads.get(lit).tangent)
@@ -259,16 +254,15 @@ class _CubeFactory:
     def run(self, a: int, b: int):
         if a > b:
             return None
-        key = (a, b)
-        nid = self._runs.get(key)
-        if nid is None:
-            if a == b:
-                nid = self.b.literal(-a)
-            else:
-                nid = self.b._append(
-                    PROD, 0, (self.run(a, b - 1), self.b.literal(-b))
-                )
-            self._runs[key] = nid
+        # extend the longest run a..c built so far, one variable at a time
+        c = b
+        while c >= a and (a, c) not in self._runs:
+            c -= 1
+        nid = self._runs.get((a, c))
+        for d in range(c + 1, b + 1):
+            nid = (self.b.literal(-a) if d == a else
+                   self.b._append(PROD, 0, (nid, self.b.literal(-d))))
+            self._runs[(a, d)] = nid
         return nid
 
     def cube(self, *positive: int):

@@ -2,20 +2,22 @@
 
 import math
 import os
+from unittest import mock
 
 import pytest
 
-from amckit import (CircuitBuilder, ConfigError, LiteralMap, StructureError,
-                    UnsupportedOperationError, backward_cancel,
-                    backward_dynamic, backward_naive, backward_optimized,
-                    compile_to_mods, enumerate_models, forward, grad_amc,
-                    make_semiring, oracle_grad, parse_d4, parse_weights,
-                    smooth, variable_gradient)
+from amckit import (Circuit, CircuitBuilder, ConfigError, LiteralMap,
+                    StructureError, UnsupportedOperationError,
+                    backward_cancel, backward_dynamic, backward_naive,
+                    backward_optimized, circuit_to_formula, compile_to_mods,
+                    enumerate_models, forward, grad_amc, make_semiring,
+                    models_to_circuit, oracle_amc, oracle_grad, parse_d4,
+                    parse_weights, smooth, structural_gate, variable_gradient)
 from amckit.backprop import VARIANTS
 from amckit.circuits import PROD
 
 from conftest import (ALL_SEMIRINGS, formula_pool, maps_close, random_formula,
-                      random_labels)
+                      random_labels, values_close)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -68,10 +70,10 @@ def test_forward_gate_determinism(example1_weights):
     assert forward(c, labels, make_semiring("bool")).root_value is True
     with pytest.raises(StructureError):
         forward(c, LiteralMap(2, 1), make_semiring("nat"))
-    # trust flag does not override a refuted check
-    with pytest.raises(StructureError):
-        forward(c, LiteralMap(2, 1), make_semiring("nat"),
-                trust_deterministic=True)
+    # the promise does not override a refuted check
+    promised = b.build(s, deterministic_by_construction=True)
+    with pytest.raises(StructureError, match="not deterministic"):
+        forward(promised, LiteralMap(2, 1), make_semiring("nat"))
 
 
 def test_forward_gate_trust_override(monkeypatch):
@@ -82,8 +84,49 @@ def test_forward_gate_trust_override(monkeypatch):
     nat = make_semiring("nat")
     with pytest.raises(StructureError):
         forward(c, LiteralMap(1, 1), nat)
-    val = forward(c, LiteralMap(1, 1), nat, trust_deterministic=True)
-    assert val.root_value == 2
+    promised = b.build(s, deterministic_by_construction=True)
+    assert forward(promised, LiteralMap(1, 1), nat).root_value == 2
+
+
+# x1 or x2 as a d4 file whose two arcs share the model {x1, x2}
+OVERLAPPING_OR = "o 1 0\nt 2 0\n1 2 1 0\n1 2 2 0\n"
+
+
+def test_promised_d4_file_is_refused_when_refuted(tmp_path):
+    path = tmp_path / "or.nnf"
+    path.write_text(OVERLAPPING_OR)
+    c = smooth(parse_d4(str(path)))
+    assert c.deterministic_by_construction and c.num_vars == 2
+    for name in ("nat", "prob"):
+        with pytest.raises(StructureError, match="not deterministic"):
+            grad_amc(c, LiteralMap(2, 1), make_semiring(name))
+    assert grad_amc(c, LiteralMap(2, True), make_semiring("bool"))[0] is True
+    assert grad_amc(c, LiteralMap(2, 0.5), make_semiring("fuzzy"))[0] == 0.5
+
+
+def test_promise_above_the_budget_is_not_scanned(monkeypatch):
+    monkeypatch.setenv("AMCKIT_DETERMINISM_BUDGET", "2")
+    c = models_to_circuit([[1, 2, 3], [-1, 2, -3]], 3)
+    assert c.deterministic_by_construction
+    with mock.patch.object(Circuit, "determinism_status",
+                           side_effect=AssertionError("scanned")):
+        structural_gate(c, make_semiring("prob"))
+        assert grad_amc(c, LiteralMap(3, 1), make_semiring("nat"))[0] == 2
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(DATA)
+                                        if n.endswith(".nnf")))
+def test_data_files_pass_the_gate_and_match_the_oracle(name,
+                                                       example1_weights):
+    c = smooth(parse_d4(os.path.join(DATA, name)))
+    phi = circuit_to_formula(c)
+    for semiring, labels in ((make_semiring("nat"), LiteralMap(c.num_vars, 1)),
+                             (make_semiring("prob"), example1_weights)):
+        amc, grads = grad_amc(c, labels, semiring)
+        assert values_close(semiring.name, amc,
+                            oracle_amc(phi, labels, semiring))
+        assert maps_close(semiring.name, grads,
+                          oracle_grad(phi, labels, semiring))
 
 
 def test_backward_naive_examples(example2_smooth, example1_weights):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: output formats, exit codes, oracle diffs, CSV."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -64,6 +65,19 @@ def test_amc_gate_failure_exit_code(capsys):
                              "--semiring", "prob")
     assert code == 4
     assert "smooth" in err
+
+
+@pytest.mark.parametrize("semiring, code, out", [
+    ("nat", 4, ""), ("prob", 4, ""), ("bool", 0, "T\n"), ("fuzzy", 0, "1.0\n")])
+def test_amc_refuses_a_refuted_d4_file(capsys, tmp_path, semiring, code, out):
+    # x1 or x2 with arcs that share the model {x1, x2}: d4 files promise
+    # determinism, and within the budget the promise is checked
+    path = tmp_path / "or.nnf"
+    path.write_text("o 1 0\nt 2 0\n1 2 1 0\n1 2 2 0\n")
+    got = run_cli(capsys, "amc", "--circuit", str(path), "--semiring",
+                  semiring, "--smooth")
+    assert got[:2] == (code, out)
+    assert ("not deterministic" in got[2]) == (code == 4)
 
 
 def test_grad_lines(capsys):
@@ -211,14 +225,21 @@ def test_validate_rejects_bad_budget_variable(capsys, monkeypatch, value):
 
 def test_bad_budget_variable_spares_commands_without_the_check(
         capsys, monkeypatch):
-    # d4 files are deterministic by construction: prob never reads the budget
+    # an idempotent semiring needs no determinism and never reads the budget
     monkeypatch.setenv("AMCKIT_DETERMINISM_BUDGET", "abc")
     code, out, _ = run_cli(capsys, "amc",
                            "--circuit", data_path("example2.nnf"),
                            "--weights", data_path("example1.w"),
-                           "--semiring", "prob", "--smooth")
+                           "--semiring", "fuzzy", "--smooth")
     assert code == 0
-    assert abs(float(out.strip()) - 0.44) < 1e-12
+    assert float(out.strip()) == 0.5
+    # a d4 file's promise is checked within the budget, so prob reads it
+    code, out, err = run_cli(capsys, "amc",
+                             "--circuit", data_path("example2.nnf"),
+                             "--weights", data_path("example1.w"),
+                             "--semiring", "prob", "--smooth")
+    assert code == 1 and out == ""
+    assert "AMCKIT_DETERMINISM_BUDGET must be a non-negative integer" in err
     with pytest.raises(SystemExit) as exit_:
         main(["validate", "--help"])
     assert exit_.value.code == 0
@@ -242,6 +263,46 @@ def test_validate_parse_error_exit(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", "--circuit", str(bad))
     assert code == 3
     assert "bad.nnf" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("amc", "--circuit", "{tmp}/missing.nnf", "--semiring", "nat"),
+    ("amc", "--circuit", data_path("example2.nnf"), "--weights",
+     "{tmp}/missing.w", "--semiring", "prob", "--smooth"),
+    ("oracle", "--cnf", "{tmp}/missing.cnf", "--semiring", "nat"),
+    ("validate", "--circuit", "{tmp}"),
+    ("oracle", "--cnf", "{tmp}/header.cnf", "--semiring", "nat"),
+], ids=["circuit", "weights", "cnf", "directory", "bad-header"])
+def test_unreadable_input_is_one_error_line(capsys, tmp_path, argv):
+    (tmp_path / "header.cnf").write_text("p cnf a 1\n1 0\n")
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_oracle_on_many_clauses(capsys, tmp_path):
+    # a formula nested once per clause would pass Python's recursion limit;
+    # every clause holds under one planted assignment, so models exist
+    rng = random.Random(7)
+    planted = rng.getrandbits(10)
+
+    def holds(clause, x):
+        return any((x >> (abs(l) - 1) & 1) == (l > 0) for l in clause)
+
+    clauses = []
+    while len(clauses) < 1500:
+        clause = [v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, 11), 3)]
+        if holds(clause, planted):
+            clauses.append(clause)
+    path = tmp_path / "many.cnf"
+    path.write_text("p cnf 10 1500\n"
+                    + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses))
+    models = sum(all(holds(c, x) for c in clauses) for x in range(1 << 10))
+    assert models
+    code, out, _ = run_cli(capsys, "oracle", "--cnf", str(path),
+                           "--semiring", "nat")
+    assert (code, out) == (0, f"{models}\n")
 
 
 def test_bench_csv_schema(capsys):

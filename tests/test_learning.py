@@ -2,6 +2,7 @@
 
 import math
 import os
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,8 @@ from amckit import (AmckitError, And, BernoulliParams, Circuit,
                     forward, grad_amc, hessian_row, indecater_estimate,
                     make_semiring, matrix_to_circuit, matrix_vec_to_circuit,
                     mpe_gradient, oracle_amc, oracle_grad, oracle_hessian,
-                    parse_d4, smooth, validate, circuit_to_formula)
+                    parse_d4, parse_weights, smooth, validate,
+                    circuit_to_formula)
 from amckit import layers
 from amckit.circuits import FALSE, LIT, PROD, SUM, TRUE
 from amckit.learning import _uniform_rows
@@ -160,6 +162,21 @@ ROWS = ((1, 65536, BLOCK), (63, 65536, BLOCK), (64, 65536, BLOCK),
         (200, 100, 1))
 PROBS = st.lists(st.sampled_from((0.0, 0.1, 0.5, 0.8, 1.0)), min_size=6,
                  max_size=6)
+
+
+@pytest.mark.parametrize("words", [1, 2, 3, 7, 10, 64, 1024])
+@pytest.mark.parametrize("rows", [1, 3, 4, 11])
+def test_word_blocks_are_few_equal_and_cover_the_words(words, rows):
+    # 11 words at most per block: no short remainder block after full ones
+    lay = SimpleNamespace(groups=[])
+    with mock.patch.object(layers, "BLOCK_WORDS", 11):
+        blocks = layers._word_blocks(lay, words, rows)
+    widths = [hi - lo for lo, hi in blocks]
+    step = max(1, 11 // rows)
+    assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == words
+    assert len(blocks) == -(-words // step)
+    assert max(widths) <= step and max(widths) - min(widths) <= 1
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None,
@@ -333,3 +350,25 @@ def test_matrix_circuit_size_quadratic():
     c = matrix_to_circuit(np.ones((4, 4), dtype=int))
     _, g = grad_amc(c, LiteralMap(4, 1), gf2)
     assert [g.get(i) for i in range(1, 5)] == [1, 1, 1, 1]
+
+
+def test_matrix_to_circuit_long_negative_runs():
+    # one pair at the corners: the cubes' runs of negative literals span
+    # 1,198 variables, more than Python's recursion limit
+    n = 1200
+    m = np.zeros((n, n), dtype=int)
+    m[0, n - 1] = m[n - 1, 0] = 1
+    c = matrix_to_circuit(m)
+    count, g = grad_amc(c, LiteralMap(n, 1), make_semiring("gf2"))
+    assert count == 1  # three models
+    assert [g.get(v) for v in range(1, n + 1)] == [0] * n  # the diagonal
+
+
+def test_bernoulli_labels_are_the_weight_file_encodings(rng, tmp_path):
+    probs = [0.0, 1.0, 0.5] + [rng.uniform(0.05, 0.95) for _ in range(200)]
+    path = tmp_path / "params.w"
+    path.write_text("".join(f"v {v} {p!r}\n" for v, p in enumerate(probs, 1)))
+    params = BernoulliParams(probs)
+    for name, labels in (("prob", params.prob_labels()),
+                         ("log", params.log_labels())):
+        assert labels == parse_weights(str(path), make_semiring(name)), name
