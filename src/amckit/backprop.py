@@ -24,8 +24,11 @@ With ``stats=`` a pass reports ``divisions`` and ``ordered_hits`` per child,
 ``fallbacks`` per child for recomputation and per node for cumulative
 products, and ``aux_slots``/``peak_aux_bytes`` for the adjoints plus the
 variant's leave-one-out buffers (none for recomputation, one of max arity
-for ``dynamic``, and for ``opt`` the prefix and suffix buffers the array
-engine keeps).
+for ``dynamic``, and two of max arity for ``opt``). Both ``opt`` engines
+report the same counts. The Python sweep needs one such buffer, and the
+array engine holds instead one leave-one-out value per product edge for the
+pass, computed in runs of at most ``layers.GROUP_EDGES`` edges, which bound
+its temporaries.
 
 ``forward`` and ``opt`` run on the layered array engine (``layers``) when
 the semiring declares ``array_ops``, and as the Python loops below

@@ -19,8 +19,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, ParseError, StructureError
-from .formulas import (And, Bottom, Lit, Or, Top, _balanced, enumerate_models,
-                       formula_variables)
+from .formulas import (And, Bottom, Lit, Or, Top, _balanced, _text_lines,
+                       enumerate_models, formula_variables)
 from .literals import LiteralMap, var_of
 
 LIT, TRUE, FALSE, SUM, PROD = range(5)
@@ -682,40 +682,39 @@ def parse_weights(path, semiring) -> LiteralMap:
     Unspecified literals default to the multiplicative identity.
     """
     assigned = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 2)
-            if len(parts) != 3:
-                raise ParseError(path, lineno, "expected '<v|l> <id> <value>'")
-            tag, ident, token = parts
-            if tag == "v":
-                try:
-                    var = int(ident)
-                    pos, neg = semiring.encode_prob(float(token))
-                except ValueError as exc:
-                    raise ParseError(path, lineno, str(exc)) from None
-                if var <= 0:
-                    raise ParseError(path, lineno, f"bad variable {ident}")
-                pairs = [(var, pos), (-var, neg)]
-            elif tag == "l":
-                try:
-                    lit = int(ident)
-                    value = semiring.parse_value(token)
-                except ValueError as exc:
-                    raise ParseError(path, lineno, str(exc)) from None
-                if lit == 0:
-                    raise ParseError(path, lineno, "literal 0")
-                pairs = [(lit, value)]
-            else:
-                raise ParseError(path, lineno, f"unknown line tag {tag!r}")
-            for lit, value in pairs:
-                if lit in assigned:
-                    raise ParseError(path, lineno,
-                                     f"literal {lit} assigned twice")
-                assigned[lit] = value
+    for lineno, raw in _text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(None, 2)
+        if len(parts) != 3:
+            raise ParseError(path, lineno, "expected '<v|l> <id> <value>'")
+        tag, ident, token = parts
+        if tag == "v":
+            try:
+                var = int(ident)
+                pos, neg = semiring.encode_prob(float(token))
+            except ValueError as exc:
+                raise ParseError(path, lineno, str(exc)) from None
+            if var <= 0:
+                raise ParseError(path, lineno, f"bad variable {ident}")
+            pairs = [(var, pos), (-var, neg)]
+        elif tag == "l":
+            try:
+                lit = int(ident)
+                value = semiring.parse_value(token)
+            except ValueError as exc:
+                raise ParseError(path, lineno, str(exc)) from None
+            if lit == 0:
+                raise ParseError(path, lineno, "literal 0")
+            pairs = [(lit, value)]
+        else:
+            raise ParseError(path, lineno, f"unknown line tag {tag!r}")
+        for lit, value in pairs:
+            if lit in assigned:
+                raise ParseError(path, lineno,
+                                 f"literal {lit} assigned twice")
+            assigned[lit] = value
     num_vars = max((var_of(l) for l in assigned), default=0)
     labels = LiteralMap(num_vars, semiring.one)
     for lit in range(1, num_vars + 1):

@@ -8,6 +8,7 @@ safe under parallel test execution; enumeration is capped at 24 variables.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ScaleError
@@ -255,35 +256,51 @@ def _balanced(op, parts):
     return parts[0]
 
 
+# what a text-mode read with errors="surrogateescape" makes of a byte that
+# is not UTF-8: U+DC80 to U+DCFF
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _text_lines(path):
+    """``(line number, line)`` of a UTF-8 text file, as text-mode ``open``
+    splits it; a line holding bytes that are not UTF-8 raises ``ParseError``."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            bad = _NOT_UTF8.search(line)
+            if bad:
+                raise ParseError(path, lineno, "not UTF-8 text (byte "
+                                 f"0x{ord(bad.group()) - 0xDC00:02x})")
+            yield lineno, line
+
+
 def read_dimacs(path):
     """Read a DIMACS CNF file; returns (formula, header variable count)."""
     num_vars = None
     num_clauses = None
     clauses = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if (len(parts) != 4 or parts[1] != "cnf"
-                        or not (parts[2].isdecimal() and parts[3].isdecimal())):
-                    raise ParseError(path, lineno, "bad DIMACS header")
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-                continue
-            if num_vars is None:
-                raise ParseError(path, lineno, "clause before header")
-            try:
-                ints = [int(t) for t in line.split()]
-            except ValueError:
-                raise ParseError(path, lineno, "non-integer token") from None
-            if not ints or ints[-1] != 0:
-                raise ParseError(path, lineno, "clause not terminated by 0")
-            lits = ints[:-1]
-            if any(l == 0 or var_of(l) > num_vars for l in lits):
-                raise ParseError(path, lineno, "literal out of range")
-            clauses.append(lits)
+    for lineno, raw in _text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not (parts[2].isdecimal() and parts[3].isdecimal())):
+                raise ParseError(path, lineno, "bad DIMACS header")
+            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            continue
+        if num_vars is None:
+            raise ParseError(path, lineno, "clause before header")
+        try:
+            ints = [int(t) for t in line.split()]
+        except ValueError:
+            raise ParseError(path, lineno, "non-integer token") from None
+        if not ints or ints[-1] != 0:
+            raise ParseError(path, lineno, "clause not terminated by 0")
+        lits = ints[:-1]
+        if any(l == 0 or var_of(l) > num_vars for l in lits):
+            raise ParseError(path, lineno, "literal out of range")
+        clauses.append(lits)
     if num_vars is None:
         raise ParseError(path, 1, "missing DIMACS header")
     if num_clauses is not None and len(clauses) != num_clauses:

@@ -4,11 +4,15 @@ A circuit is compiled once into groups of nodes that share a height (the
 longest path down to a leaf), a kind and an arity, split where they would
 exceed ``GROUP_EDGES`` edges. Each group holds a
 ``(arity, nodes)`` matrix of child ids, so a forward pass is one gather and
-one reduction per group in ascending height, and a backward pass walks the
-groups top-down with one gather, a vectorized leave-one-out step and one
-``ufunc.at`` scatter into the adjoints, then folds leaves per literal. The
-compiled groups are cached on the immutable circuit. (After Maene,
-Derkinderen & Zuidberg Dos Martires, *KLay: Accelerating Arithmetic
+one reduction per group in ascending height. The product groups of one
+arity also form a bucket. A product edge's leave-one-out value reads only
+forward values, so the backward pass first computes all of them, a bucket
+at a time, with consecutive groups joined into runs of up to
+``GROUP_EDGES`` edges. It then walks the groups top-down with one gather of
+adjoints, for a product group one multiply by its leave-one-out values, and
+one ``ufunc.at`` scatter into the adjoints, and folds leaves per literal.
+The compiled groups and buckets are cached on the immutable circuit. (After
+Maene, Derkinderen & Zuidberg Dos Martires, *KLay: Accelerating Arithmetic
 Circuits for Neurosymbolic AI*, ICLR 2025.)
 
 A semiring opts in with an ``array_ops`` object describing its arithmetic on
@@ -143,9 +147,13 @@ class Group:
 
 
 class Layers:
-    """A circuit compiled for the array engine (see the module docstring)."""
+    """A circuit compiled for the array engine (see the module docstring).
 
-    __slots__ = ("groups", "leaf_ids", "leaf_slots", "one_ids")
+    ``groups`` run in ascending height; each of the ``buckets`` lists the
+    product groups of one arity in that order.
+    """
+
+    __slots__ = ("groups", "buckets", "leaf_ids", "leaf_slots", "one_ids")
 
     def __init__(self, circuit):
         kind, offsets, flat = circuit.kind, circuit.offsets, circuit.flat
@@ -159,14 +167,18 @@ class Layers:
         inner, h, k, a = inner[order], h[order], k[order], a[order]
         cut = np.flatnonzero((np.diff(h) != 0) | (np.diff(k) != 0)
                              | (np.diff(a) != 0)) + 1
-        self.groups = []
-        for same in np.split(inner, cut) if inner.size else ():
-            m = int(arity[same[0]])
+        bounds = [0, *cut.tolist(), len(inner)] if inner.size else [0]
+        self.groups, buckets = [], {}
+        for start, stop in zip(bounds, bounds[1:]):
+            m, kd = int(a[start]), int(k[start])
             step = max(1, GROUP_EDGES // m)
-            for lo in range(0, len(same), step):
-                ids = same[lo:lo + step]
+            for lo in range(start, stop, step):
+                ids = inner[lo:min(lo + step, stop)]
                 slots = offsets[ids][None, :] + np.arange(m)[:, None]
-                self.groups.append(Group(int(kind[ids[0]]), ids, flat[slots]))
+                self.groups.append(Group(kd, ids, flat[slots]))
+                if kd == PROD:
+                    buckets.setdefault(m, []).append(self.groups[-1])
+        self.buckets = list(buckets.values())
 
         self.leaf_ids = np.flatnonzero(kind == LIT)
         nv = circuit.num_vars
@@ -207,55 +219,88 @@ def forward(circuit, labels, ops):
 def backward_opt(circuit, values, semiring, ops):
     """The ``opt`` backward pass on arrays.
 
-    Per product child the leave-one-out product is, as in the Python loop:
-    the node value divided by the child where the child is cancellative
-    and the node did not underflow; under fully ordered multiplication the
-    node value, or the second extremal child for a unique extremal one;
-    otherwise the node's cumulative prefix/suffix products. Returns the
-    gradient and the loop's strategy counts.
+    First the leave-one-out product of every product edge, per bucket of
+    one arity in runs of consecutive groups of at most ``GROUP_EDGES``
+    edges (``_runs``), kept until the walk reaches the group. Per child it
+    is, as in the Python loop: the node value divided by the child where
+    the child is cancellative and the node did not underflow; under fully
+    ordered multiplication the node value, or the second extremal child
+    for a unique extremal one; otherwise the node's cumulative
+    prefix/suffix products. The top-down walk then gathers each group's
+    adjoints, multiplies a product group's by its leave-one-out values and
+    scatters the result into the children. Returns the gradient and the
+    loop's strategy counts.
     """
     lay = layers_of(circuit)
-    adj = ops.full(circuit.node_count, ops.zero)
-    adj[..., [circuit.root]] = ops.full(1, ops.one)
     has_div = semiring.supports_division
     ordered = semiring.fully_ordered_mul
     divisions = ordered_hits = fallbacks = 0
+    loo_of = {}  # product group -> its leave-one-out values
     with np.errstate(all="ignore"):
+        for bucket in lay.buckets:
+            for run, ids, children in _runs(bucket, GROUP_EDGES):
+                node = values[..., None, ids]
+                child = values[..., children]
+                if has_div:
+                    zero_child = child == ops.zero
+                    # a zero product of nonzero children underflowed
+                    rest = zero_child | ((node == ops.zero)
+                                         & ~zero_child.any(axis=0))
+                    loo = ops.divide(node, child)
+                else:
+                    rest, loo = np.ones(child.shape[-2:], dtype=bool), None
+                hits = int(np.count_nonzero(rest))
+                divisions += rest.size - hits
+                if hits and ordered:
+                    ordered_hits += hits
+                    alt = _ordered_loo(ops, node, child)
+                    loo = alt if loo is None else np.where(rest, alt, loo)
+                elif hits:
+                    cols = rest.any(axis=0)
+                    fallbacks += int(np.count_nonzero(cols))
+                    if loo is None:
+                        loo = _cumulative_loo(ops, child)
+                    else:
+                        alt = _cumulative_loo(ops, child[:, cols])
+                        loo[:, cols] = np.where(rest[:, cols], alt,
+                                                loo[:, cols])
+                at = 0
+                for g in run:
+                    loo_of[g] = loo[..., at:at + len(g.ids)]
+                    at += len(g.ids)
+
+        adj = ops.full(circuit.node_count, ops.zero)
+        adj[..., [circuit.root]] = ops.full(1, ops.one)
         for g in reversed(lay.groups):
             a = adj[..., None, g.ids]
-            if g.kind == SUM:
-                ops.add_at(adj, g.children, a)
-                continue
-            node = values[..., None, g.ids]
-            child = values[..., g.children]
-            if has_div:
-                zero_child = child == ops.zero
-                # a zero product of nonzero children underflowed
-                rest = zero_child | ((node == ops.zero) & ~zero_child.any(axis=0))
-                loo = ops.divide(node, child)
-            else:
-                rest, loo = np.ones(g.children.shape, dtype=bool), None
-            hits = int(np.count_nonzero(rest))
-            divisions += rest.size - hits
-            if hits and ordered:
-                ordered_hits += hits
-                alt = _ordered_loo(ops, node, child)
-                loo = alt if loo is None else np.where(rest, alt, loo)
-            elif hits:
-                cols = rest.any(axis=0)
-                fallbacks += int(np.count_nonzero(cols))
-                if loo is None:
-                    loo = _cumulative_loo(ops, child)
-                else:
-                    alt = _cumulative_loo(ops, child[:, cols])
-                    loo[:, cols] = np.where(rest[:, cols], alt, loo[:, cols])
-            ops.add_at(adj, g.children, ops.mul(a, loo))
+            if g.kind == PROD:
+                a = ops.mul(a, loo_of.pop(g))
+            ops.add_at(adj, g.children, a)
         grads = ops.full(2 * circuit.num_vars, ops.zero)
         ops.add_at(grads, lay.leaf_slots, adj[..., lay.leaf_ids])
     out = LiteralMap.from_order(circuit.num_vars, ops.zero, ops.to_list(grads))
     counts = {"divisions": divisions, "ordered_hits": ordered_hits,
               "fallbacks": fallbacks}
     return out, counts
+
+
+def _runs(groups, bound):
+    """``(run, ids, children)`` of consecutive groups of one arity, joined
+    while together they hold at most ``bound`` edges (or a group alone)."""
+    start = edges = 0
+    for i, g in enumerate(groups):
+        if i > start and edges + g.children.size > bound:
+            yield _joined(groups[start:i])
+            start, edges = i, 0
+        edges += g.children.size
+    yield _joined(groups[start:])
+
+
+def _joined(run):
+    if len(run) == 1:
+        return run, run[0].ids, run[0].children
+    return (run, np.concatenate([g.ids for g in run]),
+            np.concatenate([g.children for g in run], axis=1))
 
 
 def _ordered_loo(ops, node, child):
@@ -426,10 +471,11 @@ class _OrScatter:
     """OR rows into targets that may repeat.
 
     Rows come sorted by target (``order``); each run of equal targets is
-    OR-ed into its first row in a pairwise tree, ceil(log2(run)) steps,
-    and the run heads are OR-ed into their targets, which are distinct.
-    On rows of many words ``ufunc.at`` and ``ufunc.reduceat`` are several
-    times slower.
+    OR-ed into its first row in a pairwise tree, ceil(log2(run)) steps of
+    ``(src, d)``: row ``src + d`` into row ``src``. The run heads are then
+    OR-ed into their targets, which are distinct; where no target repeats,
+    every row is a head and ``heads`` is ``None``. On rows of many words
+    ``ufunc.at`` and ``ufunc.reduceat`` are several times slower.
     """
 
     __slots__ = ("order", "targets", "heads", "steps")
@@ -440,16 +486,19 @@ class _OrScatter:
         n = len(ordered)
         first = np.ones(n, dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        self.steps = []
+        if first.all():
+            self.targets, self.heads = ordered, None
+            return
         self.heads = np.flatnonzero(first)
         self.targets = ordered[self.heads]
         runs = np.diff(np.append(self.heads, n))
         rank = np.arange(n) - np.repeat(self.heads, runs)
         left = np.repeat(runs, runs) - rank  # rows from here to the run's end
-        self.steps = []
         d = 1
-        while d < runs.max(initial=0):
+        while d < runs.max():
             src = np.flatnonzero((rank % (2 * d) == 0) & (left > d))
-            self.steps.append((src, src + d))
+            self.steps.append((src, d))
             d *= 2
 
     def apply(self, acc, rows):
@@ -457,6 +506,6 @@ class _OrScatter:
 
         ``rows`` are in ``order``, so sorted by target; they are overwritten.
         """
-        for src, other in self.steps:
-            rows[src] |= rows[other]
-        acc[self.targets] |= rows[self.heads]
+        for src, d in self.steps:
+            rows[src] |= rows[src + d]
+        acc[self.targets] |= rows if self.heads is None else rows[self.heads]

@@ -280,6 +280,21 @@ def test_unreadable_input_is_one_error_line(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, name, line", [
+    (("amc", "--circuit", data_path("example2.nnf"), "--weights",
+      "{tmp}/bad.w", "--semiring", "prob", "--smooth"), "bad.w", 1),
+    (("oracle", "--cnf", "{tmp}/bad.cnf", "--semiring", "nat"), "bad.cnf", 3),
+], ids=["weights", "cnf"])
+def test_input_that_is_not_utf8_is_one_error_line(capsys, tmp_path, argv,
+                                                   name, line):
+    (tmp_path / "bad.w").write_bytes(b"\xffv 1 0.5\n")
+    (tmp_path / "bad.cnf").write_bytes(b"p cnf 2 2\r\n1 0\r\n2 \xff 0\r\n")
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (3, "")
+    assert err == (f"error: {tmp_path / name}:{line}: "
+                   "not UTF-8 text (byte 0xff)\n")
+
+
 def test_oracle_on_many_clauses(capsys, tmp_path):
     # a formula nested once per clause would pass Python's recursion limit;
     # every clause holds under one planted assignment, so models exist

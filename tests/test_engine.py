@@ -8,12 +8,13 @@ through ``PythonLoop``, the same semiring without ``array_ops``.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from amckit import (CircuitBuilder, DualValue, LiteralMap, backward_cancel,
                     backward_dynamic, backward_naive, backward_optimized,
-                    forward, make_semiring)
+                    forward, layers, make_semiring)
 from amckit.backprop import VARIANTS
 
 from conftest import PythonLoop, cases, labeling
@@ -122,8 +123,63 @@ def test_layers_are_compiled_once_per_circuit():
     forward(c, LiteralMap(2, 0.5), prob)
     compiled = c._layers
     assert compiled is not None
-    forward(c, LiteralMap(2, 0.25), make_semiring("log"))
-    assert c._layers is compiled
+    buckets = compiled.buckets
+    assert [[g.children.shape for g in bucket] for bucket in buckets] == \
+        [[(2, 1)]]
+    log = make_semiring("log")
+    tape = forward(c, LiteralMap(2, 0.25), log)
+    backward_optimized(c, tape, log)
+    backward_optimized(c, forward(c, LiteralMap(2, 0.5), prob), prob)
+    assert c._layers is compiled and compiled.buckets is buckets
+
+
+def three_arities():
+    """A smooth decision-DNNF over x1..x4 with products of arity 2, 3, 4,
+    several per arity and at several heights."""
+    b = CircuitBuilder()
+    x = {l: b.literal(l) for v in range(1, 5) for l in (v, -v)}
+    u = b.sum([b.product([x[3], x[4]]), b.product([x[-3], x[4]]),
+               b.product([x[-3], x[-4]])])
+    t = b.sum([b.product([x[2], x[3], x[4]]), b.product([x[-2], u])])
+    return b.build(b.sum([b.product([x[1], x[2], x[3], x[4]]),
+                          b.product([x[1], x[-2], x[3], x[4]]),
+                          b.product([x[-1], t])]), num_vars=4)
+
+
+@pytest.mark.parametrize("bound", [1, 4, 6, layers.GROUP_EDGES])
+def test_runs_cover_each_bucket_within_the_bound(bound):
+    lay = layers.layers_of(three_arities())
+    for bucket in lay.buckets:
+        runs = list(layers._runs(bucket, bound))
+        assert [g for run, _, _ in runs for g in run] == bucket
+        for run, ids, children in runs:
+            assert len(run) == 1 or children.size <= bound
+            assert ids.tolist() == [i for g in run for i in g.ids.tolist()]
+            assert children.tolist() == np.concatenate(
+                [g.children for g in run], axis=1).tolist()
+
+
+@pytest.mark.parametrize("name", ARRAY_SEMIRINGS)
+@pytest.mark.parametrize("bound", [1, 2, 5])
+def test_leave_one_out_chunks_keep_results(name, bound, monkeypatch):
+    # a zero child, a product that underflows, a tie at the extremal child
+    ws = [0.5, 0.0, 1e-200, 1e-200, 0.5, 0.7, 0.5, 0.25,
+          1.0, -1.0, 0.5, 2.0, 0.0, 1.0, -0.5, 0.5]
+    c = three_arities()
+    labels = labeling(name, c, ws)
+    S = make_semiring(name)
+    tape = forward(c, labels, S)  # compiles the groups at the default bound
+
+    def run():
+        stats = {}
+        grads = backward_optimized(c, tape, S, stats=stats)
+        return [repr(v) for v in grads.values_in_order()], stats
+
+    want = run()
+    # only the leave-one-out chunks see the bound: the groups are compiled
+    monkeypatch.setattr(layers, "GROUP_EDGES", bound)
+    assert run() == want
+    check_against_python_opt(name, c, labels)
 
 
 @pytest.mark.parametrize("arity", [2, 5])
