@@ -5,9 +5,8 @@ decomposable circuit (deterministic too when the semiring is not additively
 idempotent) the entry for literal l equals the model count of the circuit
 conditioned on l. With ``check`` (the default) ``forward`` and
 ``grad_amc`` first pass the circuit through ``structural_gate``, whose
-determinism rule has no per-call override. The four variants are one
-backward sweep; they differ only in how a product-node child gets the
-product of its siblings. A child
+determinism rule has no per-call override. The four variants differ
+only in how a product-node child gets the product of its siblings. A child
 is divided out of the node value where the variant divides, the child is
 cancellative and the node did not underflow (its value is zero although
 none of its children is, so dividing it would lose the product of the
@@ -20,21 +19,21 @@ other children). Every other child takes the variant's fallback:
 * ``opt``       divides; a top-2 extremal scan, once per node, where
                 multiplication is fully ordered, cumulative products otherwise.
 
+``forward`` and ``opt`` run on the layered array engine (``layers``) for
+every semiring: in the semiring's ``array_ops`` where it declares them, on
+object arrays of its own scalar functions otherwise. ``naive``, ``cancel``
+and ``dynamic`` are one Python sweep over the tape's values (``_sweep``),
+the paper's reference variants; ``naive`` is the oracle the engine is
+tested against. One evaluation runs on one thread.
+
 With ``stats=`` a pass reports ``divisions`` and ``ordered_hits`` per child,
 ``fallbacks`` per child for recomputation and per node for cumulative
 products, and ``aux_slots``/``peak_aux_bytes`` for the adjoints plus the
 variant's leave-one-out buffers (none for recomputation, one of max arity
-for ``dynamic``, and two of max arity for ``opt``). Both ``opt`` engines
-report the same counts. The Python sweep needs one such buffer, and the
-array engine holds instead one leave-one-out value per product edge for the
-pass, computed in runs of at most ``layers.GROUP_EDGES`` edges, which bound
-its temporaries.
-
-``forward`` and ``opt`` run on the layered array engine (``layers``) when
-the semiring declares ``array_ops``, and as the Python loops below
-otherwise; ``naive``, ``cancel`` and ``dynamic`` always run the Python
-sweep, the reference the engine is tested against. Either way one evaluation runs
-on one thread.
+for ``dynamic``, and two of max arity for ``opt``). These counts are the
+model of a sequential pass: the array ``opt`` holds instead one
+leave-one-out value per product edge for the pass, computed in runs of at
+most ``layers.GROUP_EDGES`` edges, which bound its temporaries.
 
 Thread safety: evaluations over the same immutable circuit may run in
 parallel threads, each with its own tape. The circuit's compiled layers are
@@ -45,26 +44,25 @@ arrays and one of them is kept, so no lock is needed.
 from __future__ import annotations
 
 from . import layers
-from .circuits import LIT, PROD, SUM, TRUE, Circuit, determinism_budget, validate
+from .circuits import LIT, PROD, SUM, Circuit, determinism_budget, validate
 from .errors import ConfigError, StructureError, UnsupportedOperationError
 from .literals import LiteralMap
-from .semirings import LEFT
 
 
 class ForwardTape:
     """Per-node values in forward order; the root value is the model count.
 
-    A tape from the array engine holds its values as an array and builds the
-    list of Python scalars only when ``values`` is first read.
+    The values are an array in the layout of the semiring ``forward`` ran
+    (``layers.ops_of``); the list of Python scalars is built only when
+    ``values`` is first read.
     """
 
-    __slots__ = ("root", "_values", "_array", "_ops")
+    __slots__ = ("root", "_array", "_ops", "_semiring", "_values")
 
-    def __init__(self, values, root, *, array=None, ops=None):
+    def __init__(self, array, root, ops, semiring):
         self.root = root
-        self._values = values
-        self._array = array
-        self._ops = ops
+        self._array, self._ops, self._semiring = array, ops, semiring
+        self._values = None
 
     @property
     def values(self) -> list:
@@ -74,15 +72,17 @@ class ForwardTape:
 
     @property
     def root_value(self):
-        if self._values is None:
-            return self._ops.item(self._array, self.root)
-        return self._values[self.root]
+        return self._ops.item(self._array, self.root)
 
-    def array(self, ops):
-        """The node values as an array of ``ops``' layout."""
-        if self._ops is not ops:
-            self._array, self._ops = ops.from_list(self.values), ops
-        return self._array
+    def array(self, semiring):
+        """The node values and their ops in ``semiring``'s layout; the tape
+        of that semiring's own ``forward`` is not converted."""
+        if semiring is not self._semiring:
+            ops = layers.ops_of(semiring)
+            if ops is not self._ops:
+                self._array, self._ops = ops.from_list(self.values), ops
+            self._semiring = semiring
+        return self._array, self._ops
 
 
 def structural_gate(circuit: Circuit, semiring):
@@ -128,34 +128,9 @@ def forward(circuit: Circuit, labels: LiteralMap, semiring, *,
     """Evaluate every node bottom-up; the root equals the model count."""
     if check:
         structural_gate(circuit, semiring)
-    ops = getattr(semiring, "array_ops", None)
-    if ops is not None:
-        return ForwardTape(None, circuit.root,
-                           array=layers.forward(circuit, labels, ops), ops=ops)
-    add, mul = semiring.add, semiring.mul
-    zero, one = semiring.zero, semiring.one
-    kinds, lits, children = circuit.kinds, circuit.lits, circuit.children
-    values = [None] * circuit.node_count
-    for i, k in enumerate(kinds):
-        if k == LIT:
-            values[i] = labels.get(lits[i])
-        elif k == SUM:
-            acc = zero
-            for c in children[i]:
-                acc = add(acc, values[c])
-            values[i] = acc
-        elif k == PROD:
-            acc = one
-            for c in children[i]:
-                acc = mul(acc, values[c])
-            values[i] = acc
-        else:
-            values[i] = one if k == TRUE else zero
-    return ForwardTape(values, circuit.root)
-
-
-# the fallback a product child takes when it is not divided
-_RECOMPUTE, _CUMULATIVE, _ORDERED = range(3)
+    ops = layers.ops_of(semiring)
+    return ForwardTape(layers.forward(circuit, labels, ops), circuit.root,
+                       ops, semiring)
 
 
 def _note_stats(stats, circuit, extra_slots, **counts):
@@ -168,32 +143,13 @@ def _note_stats(stats, circuit, extra_slots, **counts):
         stats[key] = val
 
 
-def _extremal_pair(semiring, values, ch):
-    """(smallest value, its multiplicity, second smallest) in the mul order."""
-    ordered = semiring.is_ordered_mul
-    m1 = None
-    m1_count = 0
-    m2 = None
-    for c in ch:
-        v = values[c]
-        if m1 is None:
-            m1, m1_count = v, 1
-        elif v == m1:
-            m1_count += 1
-        elif ordered(v, m1) == LEFT:
-            m2 = m1
-            m1, m1_count = v, 1
-        elif m2 is None or ordered(v, m2) == LEFT:
-            m2 = v
-    return m1, m1_count, (semiring.one if m2 is None else m2)
+def _sweep(circuit, tape, semiring, stats, divide, cumulative):
+    """The reference backward pass: adjoints top-down, folded per literal.
 
-
-def _sweep(circuit, tape, semiring, stats, divide, fallback, extra_slots):
-    """The backward pass: adjoints top-down, then folded per literal.
-
-    A product child takes the node value divided by the child when
-    ``divide`` is set, the child is cancellative and the node did not
-    underflow; otherwise its sibling product comes from ``fallback``.
+    With ``cumulative`` a product node gives each child its prefix times
+    suffix product. Otherwise a child takes the node value divided by the
+    child when ``divide`` is set, the child is cancellative and the node
+    did not underflow, and its recomputed sibling product if not.
     """
     add, mul, div = semiring.add, semiring.mul, semiring.try_divide
     zero, one = semiring.zero, semiring.one
@@ -203,14 +159,26 @@ def _sweep(circuit, tape, semiring, stats, divide, fallback, extra_slots):
     adj[circuit.root] = one
     # suffix products of the current node, cumulative fallback
     suffix = [one] * circuit.max_arity
-    cumulative, ordered = fallback == _CUMULATIVE, fallback == _ORDERED
-    divisions = ordered_hits = fallbacks = 0
+    divisions = fallbacks = 0
     for i in range(circuit.node_count - 1, -1, -1):
         k = kinds[i]
         if k == SUM:
             a = adj[i]
             for c in children[i]:
                 adj[c] = add(adj[c], a)
+        elif k == PROD and cumulative:
+            a = adj[i]
+            ch = children[i]
+            t = one
+            for j in range(len(ch) - 1, -1, -1):
+                suffix[j] = t
+                t = mul(t, values[ch[j]])
+            prefix = one
+            for idx, c in enumerate(ch):
+                adj[c] = add(adj[c], mul(a, mul(suffix[idx], prefix)))
+                prefix = mul(prefix, values[c])
+            if ch:
+                fallbacks += 1
         elif k == PROD:
             a = adj[i]
             ch = children[i]
@@ -218,34 +186,9 @@ def _sweep(circuit, tape, semiring, stats, divide, fallback, extra_slots):
             # a zero product of nonzero children underflowed
             can_div = divide and not (
                 node_val == zero and all(values[c] != zero for c in ch))
-            scan = prefix = None
             for idx, c in enumerate(ch):
-                cval = values[c]
-                if can_div and (loo := div(node_val, cval)) is not None:
+                if can_div and (loo := div(node_val, values[c])) is not None:
                     divisions += 1
-                    if prefix is not None:
-                        prefix = mul(prefix, cval)
-                elif cumulative:
-                    if prefix is None:
-                        # suffix products into the buffer; the prefix runs
-                        # along with the children from here on
-                        t = one
-                        for j in range(len(ch) - 1, -1, -1):
-                            suffix[j] = t
-                            t = mul(t, values[ch[j]])
-                        prefix = one
-                        if idx:  # dynamic's nodes always start at 0
-                            for j in range(idx):
-                                prefix = mul(prefix, values[ch[j]])
-                        fallbacks += 1
-                    loo = mul(suffix[idx], prefix)
-                    prefix = mul(prefix, cval)
-                elif ordered:
-                    if scan is None:
-                        scan = _extremal_pair(semiring, values, ch)
-                    m1, m1_count, m2 = scan
-                    loo = m2 if (cval == m1 and m1_count == 1) else node_val
-                    ordered_hits += 1
                 else:
                     fallbacks += 1
                     loo = one
@@ -253,8 +196,8 @@ def _sweep(circuit, tape, semiring, stats, divide, fallback, extra_slots):
                         if j != idx:
                             loo = mul(loo, values[d])
                 adj[c] = add(adj[c], mul(a, loo))
-    _note_stats(stats, circuit, extra_slots, divisions=divisions,
-                ordered_hits=ordered_hits, fallbacks=fallbacks)
+    _note_stats(stats, circuit, circuit.max_arity if cumulative else 0,
+                divisions=divisions, ordered_hits=0, fallbacks=fallbacks)
     # several leaves may carry the same literal; their adjoints accumulate
     grads = LiteralMap(circuit.num_vars, zero)
     lits = circuit.lits
@@ -268,7 +211,7 @@ def _sweep(circuit, tape, semiring, stats, divide, fallback, extra_slots):
 def backward_naive(circuit: Circuit, tape: ForwardTape, semiring,
                    stats=None) -> LiteralMap:
     """Leave-one-out products recomputed per child; the engine's own oracle."""
-    return _sweep(circuit, tape, semiring, stats, False, _RECOMPUTE, 0)
+    return _sweep(circuit, tape, semiring, stats, False, False)
 
 
 def backward_cancel(circuit: Circuit, tape: ForwardTape, semiring,
@@ -284,7 +227,7 @@ def backward_cancel(circuit: Circuit, tape: ForwardTape, semiring,
             f"semiring '{semiring.name}' provides no division; "
             "use the dynamic or naive variant"
         )
-    return _sweep(circuit, tape, semiring, stats, True, _RECOMPUTE, 0)
+    return _sweep(circuit, tape, semiring, stats, True, False)
 
 
 def backward_dynamic(circuit: Circuit, tape: ForwardTape, semiring,
@@ -294,8 +237,7 @@ def backward_dynamic(circuit: Circuit, tape: ForwardTape, semiring,
     The buffer is sized once to the maximum product arity and reused across
     nodes.
     """
-    return _sweep(circuit, tape, semiring, stats, False, _CUMULATIVE,
-                  circuit.max_arity)
+    return _sweep(circuit, tape, semiring, stats, False, True)
 
 
 def backward_optimized(circuit: Circuit, tape: ForwardTape, semiring,
@@ -307,18 +249,13 @@ def backward_optimized(circuit: Circuit, tape: ForwardTape, semiring,
     node value itself is the leave-one-out product for every child except a
     unique extremal one, which takes the second extremal instead; (c)
     otherwise fill in from the node's cumulative prefix/suffix products,
-    computed at most once.
-    Runs on the array engine when the semiring declares ``array_ops``.
+    computed at most once. Runs on the layered array engine
+    (``layers.backward_opt``).
     """
-    ops = getattr(semiring, "array_ops", None)
-    if ops is not None:
-        grads, counts = layers.backward_opt(circuit, tape.array(ops), semiring,
-                                            ops)
-        _note_stats(stats, circuit, 2 * circuit.max_arity, **counts)
-        return grads
-    fallback = _ORDERED if semiring.fully_ordered_mul else _CUMULATIVE
-    return _sweep(circuit, tape, semiring, stats, semiring.supports_division,
-                  fallback, 2 * circuit.max_arity)
+    values, ops = tape.array(semiring)
+    grads, counts = layers.backward_opt(circuit, values, semiring, ops)
+    _note_stats(stats, circuit, 2 * circuit.max_arity, **counts)
+    return grads
 
 
 VARIANTS = {

@@ -15,10 +15,12 @@ The compiled groups and buckets are cached on the immutable circuit. (After
 Maene, Derkinderen & Zuidberg Dos Martires, *KLay: Accelerating Arithmetic
 Circuits for Neurosymbolic AI*, ICLR 2025.)
 
-A semiring opts in with an ``array_ops`` object describing its arithmetic on
-arrays; the Python loops in ``backprop`` stay the reference. Reductions and
-scans run child after child in child order, as the Python loops do, so the
-forward values and every leave-one-out product are the same floats.
+Every semiring runs here. One that declares ``array_ops`` gets its own
+layout (``UfuncOps``, ``DualOps``); any other runs its scalar ``add``,
+``mul`` and ``try_divide`` on object arrays (``ObjectOps``). Reductions and
+scans run child after child in child order, as a loop over the children
+would, so the forward values and every leave-one-out product are the same
+values in either layout; ``backprop``'s ``naive`` sweep is the reference.
 
 ``sat_counts`` runs the Boolean forward and backward on the same groups for
 a batch of assignments at once, 64 per ``uint64`` word, and counts which
@@ -41,7 +43,7 @@ class UfuncOps:
 
     Element arrays have the node (or child) axis last; ``divide`` is given
     for semirings with cancellation, whose only non-cancellative element is
-    ``zero``.
+    ``zero`` (``refused``).
     """
 
     def __init__(self, dtype, add, mul, zero, one, divide=None):
@@ -72,6 +74,55 @@ class UfuncOps:
 
     def add_at(self, acc, idx, vals):
         self.add.at(acc, idx, vals)
+
+    @staticmethod
+    def refused(zero_child, loo):
+        """Where ``divide`` gave no leave-one-out value: the zero children."""
+        return zero_child
+
+
+class ObjectOps(UfuncOps):
+    """A semiring's own scalar functions on object arrays.
+
+    The layout of a semiring that declares no ``array_ops``: ``add``, ``mul``
+    and, where it supports division, ``try_divide`` as ``np.frompyfunc``
+    ufuncs. ``try_divide`` answers ``None`` for any child that does not
+    cancel, not only ``zero``. Scans start from the identity, as a loop
+    over the children does: ``one * x`` need not be ``x`` (a dual's tangent
+    picks up ``inf * 0``), and each child costs one operation.
+    """
+
+    def __init__(self, semiring):
+        divide = (np.frompyfunc(semiring.try_divide, 2, 1)
+                  if semiring.supports_division else None)
+        super().__init__(object, np.frompyfunc(semiring.add, 2, 1),
+                         np.frompyfunc(semiring.mul, 2, 1), semiring.zero,
+                         semiring.one, divide)
+
+    def item(self, arr, i):
+        return arr[i]
+
+    def add_scan(self, m):
+        return _scan_from(self.add, self.zero, m)
+
+    def mul_scan(self, m):
+        return _scan_from(self.mul, self.one, m)
+
+    @staticmethod
+    def refused(zero_child, loo):
+        return np.equal(loo, None)
+
+
+def _scan_from(ufunc, identity, m):
+    """``ufunc.accumulate`` along the child axis, started from ``identity``."""
+    start = np.full((1,) + m.shape[1:], identity, object)
+    return ufunc.accumulate(np.concatenate([start, m]), axis=0)[1:]
+
+
+def ops_of(semiring):
+    """The array layout ``forward`` and ``backward_opt`` run the semiring in:
+    its ``array_ops``, or else an ``ObjectOps`` of its scalar functions."""
+    return getattr(semiring, "array_ops", None) or ObjectOps(semiring)
 
 
 class DualOps:
@@ -222,14 +273,15 @@ def backward_opt(circuit, values, semiring, ops):
     First the leave-one-out product of every product edge, per bucket of
     one arity in runs of consecutive groups of at most ``GROUP_EDGES``
     edges (``_runs``), kept until the walk reaches the group. Per child it
-    is, as in the Python loop: the node value divided by the child where
-    the child is cancellative and the node did not underflow; under fully
-    ordered multiplication the node value, or the second extremal child
-    for a unique extremal one; otherwise the node's cumulative
-    prefix/suffix products. The top-down walk then gathers each group's
-    adjoints, multiplies a product group's by its leave-one-out values and
-    scatters the result into the children. Returns the gradient and the
-    loop's strategy counts.
+    is: the node value divided by the child where the child is
+    cancellative (``ops.refused``) and the node did not underflow; under
+    fully ordered multiplication the node value, or the second extremal
+    child for a unique extremal one (a top-2 scan by ``mul``); otherwise
+    the node's cumulative prefix/suffix products. The top-down walk then
+    gathers each group's adjoints, multiplies a product group's by its
+    leave-one-out values and scatters the result into the children.
+    Returns the gradient and the strategy counts: ``divisions`` and
+    ``ordered_hits`` per child, ``fallbacks`` per node.
     """
     lay = layers_of(circuit)
     has_div = semiring.supports_division
@@ -243,10 +295,10 @@ def backward_opt(circuit, values, semiring, ops):
                 child = values[..., children]
                 if has_div:
                     zero_child = child == ops.zero
-                    # a zero product of nonzero children underflowed
-                    rest = zero_child | ((node == ops.zero)
-                                         & ~zero_child.any(axis=0))
                     loo = ops.divide(node, child)
+                    # a zero product of nonzero children underflowed
+                    rest = ops.refused(zero_child, loo) | (
+                        (node == ops.zero) & ~zero_child.any(axis=0))
                 else:
                     rest, loo = np.ones(child.shape[-2:], dtype=bool), None
                 hits = int(np.count_nonzero(rest))

@@ -7,13 +7,15 @@ optional capabilities the optimized backward pass exploits:
 * ``try_divide(a, c)`` returns ``b`` with ``a = c * b`` when ``c`` is
   multiplicatively cancellative against ``a``, else ``None``. A record
   given a ``divide`` cancels every element but ``zero``.
-* ``is_ordered_mul(a, b)`` reports ``"left"`` when ``a * b == a``,
-  ``"right"`` when ``a * b == b``, ``None`` otherwise.
+* ``fully_ordered_mul``: every product is one of its factors.
+  ``is_ordered_mul(a, b)`` tests it on one pair (``"left"`` when ``a * b ==
+  a``, ``"right"`` when ``a * b == b``); the backward pass does not call it.
 
-A semiring whose elements fit numpy arrays also declares ``array_ops``, the
-same arithmetic on arrays; ``forward`` and the ``opt`` backward then run on
-the layered array engine (see ``layers``). The ten built-ins are records
-over the named functions at the end of this module.
+``forward`` and the ``opt`` backward run every semiring on the layered
+array engine (see ``layers``): in ``array_ops``, a faster native-dtype
+layout, where the semiring declares it, and on object arrays of its scalar
+functions otherwise. The ten built-ins are records over the named
+functions at the end of this module.
 
 Instances hold no mutable state and can be shared freely between threads.
 """

@@ -210,7 +210,8 @@ def random_labels(name, num_vars, rng, zero_rate=0.0):
 
 
 class PythonLoop(Semiring):
-    """A semiring without ``array_ops``: forward and opt run as Python loops."""
+    """A semiring without ``array_ops``: forward and opt run it on object
+    arrays of its scalar functions."""
 
     def __init__(self, base):
         for attr in ("name", "additively_idempotent", "supports_division",

@@ -1,27 +1,31 @@
-"""Array engine against the Python loops on random decision-DNNFs.
+"""Array engine against its object layout and the reference sweeps.
 
 Circuits are smooth decision-DNNFs with shared nodes, or non-smooth ones
 passed through ``smooth()``; weights include 0, 1, the smallest subnormal,
-1e-300 and 1e300, so products underflow and overflow. The Python loops run
-through ``PythonLoop``, the same semiring without ``array_ops``.
+1e-300 and 1e300, so products underflow and overflow. ``PythonLoop`` is the
+same semiring without ``array_ops``: ``forward`` and ``opt`` run it on
+object arrays of its scalar functions, which the native layouts must
+match. ``naive`` and ``dynamic`` are the Python reference sweeps.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from amckit import (CircuitBuilder, DualValue, LiteralMap, backward_cancel,
-                    backward_dynamic, backward_naive, backward_optimized,
-                    forward, layers, make_semiring)
+from amckit import (CircuitBuilder, DualValue, LiteralMap, Polynomial,
+                    Semiring, backward_cancel, backward_dynamic, backward_naive,
+                    backward_optimized, forward, layers, make_semiring)
 from amckit.backprop import VARIANTS
+from amckit.circuits import PROD
 
 from conftest import PythonLoop, cases, labeling
 
 ARRAY_SEMIRINGS = ("bool", "prob", "log", "viterbi", "tropical", "fuzzy",
                    "grad", "gf2")
-# same strategy per edge as the Python opt loop: the same floats, up to the
+# same strategy per edge as the object layout: the same floats, up to the
 # order in which adjoints add up, which max and or do not see
 SAME_AS_OPT = ("bool", "gf2", "fuzzy", "viterbi", "tropical")
 # against recomputed or cumulative products: division rounds differently
@@ -86,13 +90,7 @@ def test_array_opt_matches_python_opt_smoothed(name, case):
     check_against_python_opt(name, c, labeling(name, c, ws))
 
 
-@pytest.mark.parametrize("name", ARRAY_SEMIRINGS)
-@SETTINGS
-@given(case=cases(smooth_only=False, extreme=False))
-def test_array_opt_matches_reference_loops(name, case):
-    """No product leaves the normal range, so every strategy agrees."""
-    c, ws = case
-    labels = labeling(name, c, ws)
+def check_against_reference_loops(name, c, labels):
     base = make_semiring(name)
     tape = forward(c, labels, base)
     got = backward_optimized(c, tape, base)
@@ -102,18 +100,85 @@ def test_array_opt_matches_reference_loops(name, case):
             (reference.__name__, got, want)
 
 
+@pytest.mark.parametrize("name", ARRAY_SEMIRINGS)
+@SETTINGS
+@given(case=cases(smooth_only=False, extreme=False))
+def test_array_opt_matches_reference_loops(name, case):
+    """No product leaves the normal range, so every strategy agrees."""
+    c, ws = case
+    check_against_reference_loops(name, c, labeling(name, c, ws))
+
+
+@pytest.mark.parametrize("name", SAME_AS_REFERENCE)
+@SETTINGS
+@given(case=cases(smooth_only=False, extreme=True))
+def test_array_opt_matches_reference_loops_extreme(name, case):
+    """The exact semirings agree at any weight: the top-2 scan and the
+    division of bool and gf2 against recomputed and cumulative products."""
+    c, ws = case
+    check_against_reference_loops(name, c, labeling(name, c, ws))
+
+
 def test_tape_values_are_python_scalars():
     b = CircuitBuilder()
     c = b.build(b.sum([b.product([b.literal(1), b.literal(2)]),
                        b.product([b.literal(-1), b.literal(2)])]))
     for name, kind in (("prob", float), ("bool", bool), ("gf2", int),
-                       ("grad", DualValue)):
+                       ("grad", DualValue), ("nat", int),
+                       ("sens", Polynomial)):
         S = make_semiring(name)
         tape = forward(c, LiteralMap(2, S.one), S)
         assert type(tape.root_value) is kind
         assert all(type(v) is kind for v in tape.values), name
         grads = VARIANTS["opt"](c, tape, S)
         assert all(type(v) is kind for v in grads.values_in_order()), name
+
+
+def test_nat_counts_stay_exact_past_int64():
+    # a count past 2^63 would wrap or round in any fixed-width dtype
+    b = CircuitBuilder()
+    c = b.build(b.product([b.literal(v) for v in range(1, 4)]))
+    nat = make_semiring("nat")
+    labels = LiteralMap(3, 1)
+    weights = {1: 2 ** 40 + 1, 2: 2 ** 30 + 3, 3: 7}
+    for v, w in weights.items():
+        labels.set(v, w)
+    tape = forward(c, labels, nat)
+    assert tape.root_value == (2 ** 40 + 1) * (2 ** 30 + 3) * 7 > 2 ** 63
+    for name, variant in VARIANTS.items():
+        grads = variant(c, tape, nat)
+        assert [grads.get(v) for v in (1, 2, 3)] == [
+            (2 ** 30 + 3) * 7, (2 ** 40 + 1) * 7,
+            (2 ** 40 + 1) * (2 ** 30 + 3)], name
+
+
+def _odd_quotient(a, c):
+    return None if c % 2 == 0 else a // c
+
+
+def test_refused_division_takes_the_fallback():
+    """A ``try_divide`` that answers None for a nonzero child sends that
+    child to the fallback, as a zero child is."""
+    odd = Semiring("odd-nat", 0, 1, operator.add, operator.mul,
+                   divide=_odd_quotient)
+    c = three_arities()
+    labels = LiteralMap(4, 1)
+    for lit, w in zip(labels.literals(), (3, 2, 5, 4, 1, 0, 6, 9)):
+        labels.set(lit, w)
+    tape = forward(c, labels, odd)
+    values, kinds, children = tape.values, c.kinds, c.children
+    products = [children[i] for i in range(c.node_count) if kinds[i] == PROD]
+    refused = [sum(values[ch] % 2 == 0 for ch in chs) for chs in products]
+    assert any(values[ch] % 2 == 0 < values[ch] for chs in products
+               for ch in chs)
+    want = backward_naive(c, tape, odd)
+    stats = {}
+    assert backward_optimized(c, tape, odd, stats=stats) == want
+    assert stats["divisions"] == sum(map(len, products)) - sum(refused) > 0
+    assert stats["fallbacks"] == sum(1 for r in refused if r) > 0
+    stats = {}
+    assert backward_cancel(c, tape, odd, stats=stats) == want
+    assert stats["fallbacks"] == sum(refused)
 
 
 def test_layers_are_compiled_once_per_circuit():

@@ -5,8 +5,8 @@ ones passed through ``smooth()``; the oracle enumerates the models of
 ``circuit_to_formula`` of the same circuit. Weights are drawn per literal
 from {0, 1, U(0.05, 1)} and encoded for each of the ten semirings. Each
 variant runs on the semiring itself, which covers array-engine tapes and
-the array ``opt``, and on ``PythonLoop`` of it, which covers the Python
-``opt`` loop in every semiring. Subnormal and 1e±300 weights are left
+the array ``opt`` in the semiring's own layout, and on ``PythonLoop`` of
+it, which runs them on object arrays of its scalar functions. Subnormal and 1e±300 weights are left
 out: a product that loses precision without reaching zero is still
 divided (ROADMAP item 4).
 """
@@ -36,8 +36,8 @@ def check_variants_against_oracle(name, case):
     want_full = LiteralMap(c.num_vars, S.zero)
     for lit in want.literals():
         want_full.set(lit, want.get(lit))
-    # the semiring itself, and without array_ops so forward and opt run as
-    # Python loops
+    # the semiring itself, and without array_ops so forward and opt run on
+    # object arrays
     for sem in (S, PythonLoop(S)):
         tape = forward(c, labels, sem)
         assert values_close(name, tape.root_value, oracle_amc(phi, labels, S))
