@@ -89,38 +89,34 @@ def structural_gate(circuit: Circuit, semiring):
     """Refuse evaluation when structure cannot justify the semiring.
 
     Smoothness and decomposability are always required. Determinism is
-    required for non-idempotent semirings and checked exhaustively within
-    the budget (``determinism_budget()``): the verdict is cached on the
-    circuit, and a ``refuted`` circuit is refused whatever it promises.
-    Above the budget the check cannot reach, and its ``unverified`` is
-    waived only for a circuit built with ``deterministic_by_construction=
-    True`` (d4 parses, the DNF and GF(2) builders); for such a circuit the
-    gate compares ``num_vars`` with the budget and scans nothing. A circuit already refused as not smooth or not
-    decomposable enumerates no models: determinism is asked for at budget
-    0. A refusal's report holds what the gate checked, determinism under
-    the budget it asked for.
+    required for non-idempotent semirings: the gate reads ``validate``'s
+    report, with determinism asked at the budget (``determinism_budget()``)
+    once the circuit is smooth and decomposable and at 0 otherwise, so a
+    circuit refused for its scopes enumerates no models. A ``refuted``
+    circuit is refused whatever it promises; an ``unverified`` one, above
+    the budget the exhaustive check reaches, is refused unless it was built
+    with ``deterministic_by_construction=True`` (d4 parses, the DNF and
+    GF(2) builders). A refusal carries that report.
     """
+    budget = determinism_budget() if semiring.needs_determinism else 0
+    scoped = circuit.is_smooth() and circuit.is_decomposable()
+    report = validate(circuit, budget if scoped else 0)
     problems = []
-    if not circuit.is_smooth():
+    if not report.smooth:
         problems.append("circuit is not smooth (apply smooth())")
-    if not circuit.is_decomposable():
+    if not report.decomposable:
         problems.append("circuit is not decomposable")
-    checked = 0  # not checked, so the report enumerates nothing
     if semiring.needs_determinism:
-        budget = determinism_budget()
-        promised = circuit.deterministic_by_construction
-        if not promised or circuit.num_vars <= budget:
-            checked = 0 if problems else budget
-            status = circuit.determinism_status(checked)
-            if status == "refuted":
-                problems.append("circuit is not deterministic")
-            elif status == "unverified" and not promised:
-                problems.append(
-                    f"determinism unverified within budget {budget} (build the"
-                    " circuit with deterministic_by_construction=True to "
-                    "proceed)")
+        if report.deterministic == "refuted":
+            problems.append("circuit is not deterministic")
+        elif (report.deterministic == "unverified"
+              and not circuit.deterministic_by_construction):
+            problems.append(
+                f"determinism unverified within budget {budget} (build the"
+                " circuit with deterministic_by_construction=True to "
+                "proceed)")
     if problems:
-        raise StructureError("; ".join(problems), validate(circuit, checked))
+        raise StructureError("; ".join(problems), report)
 
 
 def forward(circuit: Circuit, labels: LiteralMap, semiring, *,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .backprop import VARIANTS, forward
 from .circuits import Circuit, CircuitBuilder, default_labels
 from .errors import AmckitError
-from .literals import LiteralMap
+from .literals import LiteralMap, _from_pairs
 
 CSV_HEADER = "circuit,n,e,semiring,variant,rep,forward_ms,backward_ms,peak_aux_bytes,error"
 
@@ -66,15 +66,12 @@ def uniform_labels(circuit: Circuit, semiring, seed: int) -> LiteralMap:
     Semirings that cannot encode fractional probabilities (nat, gf2, bool,
     sens) fall back to their default labeling.
     """
-    rng = random.Random(seed)
-    labels = default_labels(semiring, circuit.num_vars)
     if semiring.name in ("nat", "gf2", "bool", "sens"):
-        return labels
-    for v in range(1, circuit.num_vars + 1):
-        pos, neg = semiring.encode_prob(rng.uniform(0.01, 0.99))
-        labels.set(v, pos)
-        labels.set(-v, neg)
-    return labels
+        return default_labels(semiring, circuit.num_vars)
+    rng = random.Random(seed)
+    return _from_pairs(semiring.one, [
+        semiring.encode_prob(rng.uniform(0.01, 0.99))
+        for _ in range(circuit.num_vars)])
 
 
 def measure(circuit_id: str, circuit: Circuit, labels, semiring, variants,

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, ParseError, StructureError
 from .formulas import (And, Bottom, Lit, Or, Top, _balanced, _text_lines,
                        enumerate_models, formula_variables)
-from .literals import LiteralMap, var_of
+from .literals import LiteralMap, literal_order, var_of
 
 LIT, TRUE, FALSE, SUM, PROD = range(5)
 
@@ -63,7 +63,7 @@ class Circuit:
     __slots__ = ("kind", "lit", "offsets", "flat", "root", "num_vars",
                  "deterministic_by_construction", "_kinds", "_lits",
                  "_children", "_max_arity", "_rows", "_smooth",
-                 "_decomposable", "_determinism", "_layers")
+                 "_decomposable", "_sums", "_determinism", "_layers")
 
     def __init__(self, kinds, lits, children, root, num_vars,
                  deterministic_by_construction=False):
@@ -119,6 +119,7 @@ class Circuit:
         self._rows = None  # packed scopes, see layers.scope_rows
         self._smooth = None
         self._decomposable = None
+        self._sums = None  # sums of two or more children, once listed
         self._determinism = None  # the exhaustive check's verdict, once run
         self._layers = None  # compiled by layers.layers_of on first use
 
@@ -189,13 +190,15 @@ class Circuit:
         "unverified" above ``budget`` variables (default: env or 20), else
         the exhaustive check's "verified" or "refuted", run once and cached.
         """
-        sums = np.flatnonzero((self.kind == SUM) & (np.diff(self.offsets) > 1))
-        if not sums.size:
+        if self._sums is None:
+            self._sums = np.flatnonzero((self.kind == SUM)
+                                        & (np.diff(self.offsets) > 1))
+        if not self._sums.size:
             return "verified"
         if self.num_vars > (determinism_budget() if budget is None else budget):
             return "unverified"
         if self._determinism is None:
-            self._determinism = _check_determinism(self, sums)
+            self._determinism = _check_determinism(self, self._sums)
         return self._determinism
 
     def __repr__(self):
@@ -275,14 +278,23 @@ def compute_scopes(circuit: Circuit):
 def _check_determinism(circuit: Circuit, sums) -> str:
     """Whether two children of one of the ``sums`` share one of the
     assignments to the variables that leaves mention (the others cannot
-    change a node's value), enumerated 64 to a word in blocks that keep the
-    node values at ``layers.BLOCK_WORDS`` words."""
-    from .layers import _assignment_words, _bool_forward, _word_blocks, layers_of
+    change a node's value), enumerated 64 to a word in blocks of words
+    (``layers._word_blocks``). Assignment ``i`` gives the ``j``-th mentioned
+    variable bit ``j`` of ``i``: the first six vary within a word, packed
+    once as sampled rows are, and the others from word to word, so a block
+    holds no more than its literal rows. With fewer than six mentioned
+    variables one word repeats the 2^k assignments, so its padding refutes
+    nothing falsely."""
+    from .layers import _ALL, _bool_forward, _pack_rows, _word_blocks, layers_of
     mentioned = np.unique(np.abs(circuit.lit[circuit.kind == LIT])) - 1
+    low, high = mentioned[:6], mentioned[6:]
+    in_word = _pack_rows(np.arange(64)[:, None] >> np.arange(low.size) & 1 == 1)
     words = max(1, (1 << len(mentioned)) // 64)
     for lo, hi in _word_blocks(layers_of(circuit), words, circuit.node_count):
         lits = np.zeros((circuit.num_vars, hi - lo), dtype=np.uint64)
-        lits[mentioned] = _assignment_words(len(mentioned), lo, hi)
+        lits[low] = in_word
+        by_word = np.arange(lo, hi) >> np.arange(high.size)[:, None] & 1
+        lits[high] = np.where(by_word == 1, _ALL, np.uint64(0))
         if not _disjoint(circuit, _bool_forward(circuit, lits), sums).all():
             return "refuted"
     return "verified"
@@ -716,20 +728,15 @@ def parse_weights(path, semiring) -> LiteralMap:
                                  f"literal {lit} assigned twice")
             assigned[lit] = value
     num_vars = max((var_of(l) for l in assigned), default=0)
-    labels = LiteralMap(num_vars, semiring.one)
-    for lit in range(1, num_vars + 1):
-        labels.set(lit, assigned.get(lit, semiring.default_label(lit)))
-        labels.set(-lit, assigned.get(-lit, semiring.default_label(-lit)))
-    return labels
+    return LiteralMap.from_order(num_vars, semiring.one, [
+        assigned[lit] if lit in assigned else semiring.default_label(lit)
+        for lit in literal_order(num_vars)])
 
 
 def default_labels(semiring, num_vars: int) -> LiteralMap:
     """Semiring-default labeling (neutral, except sens' indeterminates)."""
-    labels = LiteralMap(num_vars, semiring.one)
-    for v in range(1, num_vars + 1):
-        labels.set(v, semiring.default_label(v))
-        labels.set(-v, semiring.default_label(-v))
-    return labels
+    return LiteralMap.from_order(num_vars, semiring.one, [
+        semiring.default_label(lit) for lit in literal_order(num_vars)])
 
 
 # --- transformations --------------------------------------------------------

@@ -376,9 +376,10 @@ def _cumulative_loo(ops, child):
     return ops.mul(suffix, prefix)
 
 
-# words per block at most (64 MiB) in one node array and in the widest
-# group's gather: unbounded, a chunk of 65,536 assignments holds 8 KiB per
-# node, and a group of GROUP_EDGES edges gathers 128 MiB
+# words per block at most (64 MiB) in one node array, and a quarter of it in
+# one group's gather (``_word_blocks``): unbounded, a chunk of 65,536
+# assignments holds 8 KiB per node, and a group of GROUP_EDGES edges gathers
+# 128 MiB
 BLOCK_WORDS = 1 << 23
 _ALL = ~np.uint64(0)
 
@@ -422,16 +423,21 @@ def sat_counts(circuit, draws):
 
 
 def _word_blocks(lay, words, rows):
-    """``(lo, hi)`` ranges of ``words`` words that keep the widest group's
-    gather, and an array of ``rows`` node rows, at ``BLOCK_WORDS`` words (a
-    word at least), in as few blocks as that allows.
+    """``(lo, hi)`` ranges of ``words`` words, in as few blocks as keep an
+    array of ``rows`` node rows at ``BLOCK_WORDS`` words and each group's
+    gather at ``BLOCK_WORDS // 4`` (a word at least).
 
-    Widths differ by one word at most, so no block is a short remainder: a
-    pass's node arrays are all about one size, and where that size is above
-    glibc's mmap threshold ceiling (32 MiB) each is mapped and unmapped
-    whole, where a remainder below it would be left in the heap.
+    A pass holds its node arrays for the whole block, so they get the larger
+    bound, and a chunk of sampled rows runs in few blocks. A gather lives
+    for one group only, and a pass makes one per group: at 2^21 words
+    (16 MiB) it stays below glibc's mmap threshold ceiling (32 MiB), so the
+    gathers reuse heap memory instead of mapping and unmapping fresh pages
+    each time. Widths differ by one word at most, so no block is a short
+    remainder: a pass's node arrays are all about one size, and where that
+    size is above the ceiling each is mapped and unmapped whole, where a
+    remainder below it would be left in the heap.
     """
-    width = max([rows] + [g.children.size for g in lay.groups])
+    width = max([rows] + [4 * g.children.size for g in lay.groups])
     count = -(-words // max(1, BLOCK_WORDS // width))
     cuts = [words * i // count for i in range(count + 1)]
     return list(zip(cuts, cuts[1:]))
@@ -468,20 +474,6 @@ def scope_rows(circuit):
     bits[np.arange(len(var)), var // 64] = np.left_shift(
         np.uint64(1), (var % 64).astype(np.uint64))
     return _fold(circuit, bits, np.uint64(0))
-
-
-def _assignment_words(num_vars, lo, hi):
-    """Positive literals of assignments ``64*lo`` to ``64*hi - 1``.
-
-    Six variables vary within a word and the others from word to word.
-    With fewer than six, rows past 2^num_vars repeat enumerated
-    assignments, so these padding bits cannot refute anything falsely.
-    """
-    bit, word = np.arange(64)[:, None], np.arange(lo, hi)
-    low = _pack_rows(bit >> np.arange(min(num_vars, 6)) & 1 == 1)
-    high = word >> np.arange(max(num_vars - 6, 0))[:, None] & 1 == 1
-    return np.concatenate([np.repeat(low, hi - lo, axis=1),
-                           np.where(high, _ALL, np.uint64(0))])
 
 
 def _pack_rows(bits):

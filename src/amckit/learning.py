@@ -19,7 +19,7 @@ from .backprop import grad_amc, structural_gate
 from .circuits import PROD, Circuit, CircuitBuilder
 from .errors import AmckitError
 from .layers import sat_counts
-from .literals import LiteralMap, literal_order
+from .literals import LiteralMap, _from_pairs, literal_order
 from .semirings import NEG_INF, DualValue, make_semiring
 
 _BOOL = make_semiring("bool")
@@ -56,10 +56,7 @@ class BernoulliParams:
 
     def _labels(self, fill, encode) -> LiteralMap:
         """Every variable's ``encode(p)``, a (positive, negative) pair."""
-        pairs = [encode(float(p)) for p in self.probs]
-        return LiteralMap.from_order(self.num_vars, fill,
-                                     [pos for pos, _ in pairs]
-                                     + [neg for _, neg in pairs])
+        return _from_pairs(fill, [encode(float(p)) for p in self.probs])
 
     def prob_labels(self) -> LiteralMap:
         return self._labels(_PROB.one, _PROB.encode_prob)
@@ -74,12 +71,9 @@ class BernoulliParams:
         return self._labels(dual(1.0), lambda p: (dual(p), dual(1.0 - p)))
 
     def seeded_dual_labels(self, seed_literal: int) -> LiteralMap:
-        n = self.num_vars
-        out = LiteralMap(n, DualValue(1.0, 0.0))
-        for v in range(1, n + 1):
-            for lit, p in ((v, self.probs[v - 1]), (-v, 1.0 - self.probs[v - 1])):
-                out.set(lit, DualValue(p, 1.0 if lit == seed_literal else 0.0))
-        return out
+        return LiteralMap.from_order(self.num_vars, DualValue(1.0, 0.0), [
+            DualValue(self.p(lit), 1.0 if lit == seed_literal else 0.0)
+            for lit in literal_order(self.num_vars)])
 
 
 @dataclass
@@ -110,11 +104,15 @@ def em_conditionals(circuit: Circuit, params: BernoulliParams) -> LiteralMap:
     amc_log, grads = grad_amc(circuit, labels, _LOG)
     if amc_log == NEG_INF:
         raise AmckitError("conditionals undefined: the circuit has probability 0")
-    out = LiteralMap(circuit.num_vars, 0.0)
-    for lit in out.literals():
-        val = math.exp(grads.get(lit) + labels.get(lit) - amc_log)
-        out.set(lit, min(1.0, max(0.0, val)))
-    return out
+    return LiteralMap.from_order(circuit.num_vars, 0.0, [
+        min(1.0, max(0.0, math.exp(grad + labels.get(lit) - amc_log)))
+        for lit, grad in grads.items_in_order()])
+
+
+def _tangents(grads: LiteralMap) -> LiteralMap:
+    """The tangent of each literal's dual gradient entry."""
+    return LiteralMap.from_order(grads.num_vars, 0.0,
+                                 [g.tangent for g in grads.values_in_order()])
 
 
 def conditional_entropy(circuit: Circuit, params: BernoulliParams):
@@ -126,10 +124,7 @@ def conditional_entropy(circuit: Circuit, params: BernoulliParams):
     """
     _require_params(circuit, params)
     amc, grads = grad_amc(circuit, params.entropy_labels(), _GRAD)
-    per_literal = LiteralMap(circuit.num_vars, 0.0)
-    for lit in per_literal.literals():
-        per_literal.set(lit, grads.get(lit).tangent)
-    return amc.tangent, per_literal
+    return amc.tangent, _tangents(grads)
 
 
 def mpe_gradient(circuit: Circuit, params: BernoulliParams,
@@ -199,13 +194,10 @@ def indecater_estimate(circuit: Circuit, params: BernoulliParams,
         root_count += r
         counts += c
         start += rows
-    g_hat = LiteralMap(nv, 0.0)
-    stderr = LiteralMap(nv, 0.0)
-    for lit, count in zip(literal_order(nv), counts):
-        mean = count / total
-        g_hat.set(lit, mean)
-        stderr.set(lit, math.sqrt(mean * (1.0 - mean) / total))
-    return root_count / total, g_hat, stderr
+    g_hat = counts / total
+    stderr = np.sqrt(g_hat * (1.0 - g_hat) / total)
+    return (root_count / total, LiteralMap.from_order(nv, 0.0, g_hat),
+            LiteralMap.from_order(nv, 0.0, stderr.tolist()))
 
 
 def hessian_row(circuit: Circuit, params: BernoulliParams,
@@ -220,10 +212,7 @@ def hessian_row(circuit: Circuit, params: BernoulliParams,
     if y == 0 or abs(y) > circuit.num_vars:
         raise ValueError(f"literal {y} outside the circuit's variables")
     _, grads = grad_amc(circuit, params.seeded_dual_labels(y), _GRAD)
-    out = LiteralMap(circuit.num_vars, 0.0)
-    for lit in out.literals():
-        out.set(lit, grads.get(lit).tangent)
-    return out
+    return _tangents(grads)
 
 
 # --- GF(2) matrix embeddings -------------------------------------------------

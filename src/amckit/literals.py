@@ -24,19 +24,21 @@ def literal_order(num_vars: int):
 class LiteralMap:
     """Total map literal -> value for variables 1..num_vars.
 
-    Used both for labelings (literal weights) and for gradient vectors.
-    Literals of variables beyond ``num_vars`` read as the fill value, so a
-    weight file covering fewer variables than a circuit mentions behaves as
-    if the missing literals carried the neutral label.
+    Used both for labelings (literal weights) and for gradient vectors. The
+    values are one list in canonical literal order, the order the array
+    engine reads labels in and writes gradients out. Literals of variables
+    beyond ``num_vars`` read as the fill value, so a weight file covering
+    fewer variables than a circuit mentions behaves as if the missing
+    literals carried the neutral label; literal 0 is no literal, and reading
+    or writing it raises ``IndexError``.
     """
 
-    __slots__ = ("num_vars", "fill", "_pos", "_neg")
+    __slots__ = ("num_vars", "fill", "_values")
 
     def __init__(self, num_vars: int, fill):
         self.num_vars = num_vars
         self.fill = fill
-        self._pos = [fill] * num_vars
-        self._neg = [fill] * num_vars
+        self._values = [fill] * (2 * num_vars)
 
     @classmethod
     def from_order(cls, num_vars: int, fill, values) -> "LiteralMap":
@@ -44,49 +46,50 @@ class LiteralMap:
         out = cls.__new__(cls)
         out.num_vars = num_vars
         out.fill = fill
-        out._pos = list(values[:num_vars])
-        out._neg = list(values[num_vars:])
+        out._values = list(values)
         return out
 
+    def _slot(self, lit: int) -> int:
+        if lit == 0:
+            raise IndexError(f"literal 0 outside 1..{self.num_vars}")
+        return lit - 1 if lit > 0 else self.num_vars - lit - 1
+
     def get(self, lit: int):
-        v = lit if lit > 0 else -lit
-        if v > self.num_vars:
+        if (lit if lit > 0 else -lit) > self.num_vars:
             return self.fill
-        return self._pos[v - 1] if lit > 0 else self._neg[v - 1]
+        return self._values[self._slot(lit)]
 
     def set(self, lit: int, value) -> None:
-        v = lit if lit > 0 else -lit
-        if v <= 0 or v > self.num_vars:
+        if (lit if lit > 0 else -lit) > self.num_vars:
             raise IndexError(f"literal {lit} outside 1..{self.num_vars}")
-        if lit > 0:
-            self._pos[v - 1] = value
-        else:
-            self._neg[v - 1] = value
+        self._values[self._slot(lit)] = value
 
     def literals(self):
         return literal_order(self.num_vars)
 
     def items_in_order(self):
-        for lit in literal_order(self.num_vars):
-            yield lit, self.get(lit)
+        return zip(literal_order(self.num_vars), self._values)
 
     def values_in_order(self):
-        return [self.get(lit) for lit in literal_order(self.num_vars)]
+        return list(self._values)
 
     def copy(self) -> "LiteralMap":
-        out = LiteralMap(self.num_vars, self.fill)
-        out._pos = list(self._pos)
-        out._neg = list(self._neg)
-        return out
+        return LiteralMap.from_order(self.num_vars, self.fill, self._values)
 
     def __eq__(self, other):
         return (
             isinstance(other, LiteralMap)
             and self.num_vars == other.num_vars
-            and self._pos == other._pos
-            and self._neg == other._neg
+            and self._values == other._values
         )
 
     def __repr__(self):
         inner = ", ".join(f"{lit}: {val!r}" for lit, val in self.items_in_order())
         return f"LiteralMap({{{inner}}})"
+
+
+def _from_pairs(fill, pairs) -> LiteralMap:
+    """The map giving ``x_v`` and ``-x_v`` the ``(positive, negative)`` pair
+    ``pairs[v - 1]``."""
+    return LiteralMap.from_order(len(pairs), fill, [pos for pos, _ in pairs]
+                                 + [neg for _, neg in pairs])

@@ -6,13 +6,14 @@ from unittest import mock
 
 import pytest
 
-from amckit import (Circuit, CircuitBuilder, ConfigError, LiteralMap,
+from amckit import (CircuitBuilder, ConfigError, LiteralMap,
                     StructureError, UnsupportedOperationError,
                     backward_cancel, backward_dynamic, backward_naive,
                     backward_optimized, circuit_to_formula, compile_to_mods,
                     enumerate_models, forward, grad_amc, make_semiring,
                     models_to_circuit, oracle_amc, oracle_grad, parse_d4,
                     parse_weights, smooth, structural_gate, variable_gradient)
+from amckit import circuits
 from amckit.backprop import VARIANTS
 from amckit.circuits import PROD
 
@@ -108,8 +109,8 @@ def test_promise_above_the_budget_is_not_scanned(monkeypatch):
     monkeypatch.setenv("AMCKIT_DETERMINISM_BUDGET", "2")
     c = models_to_circuit([[1, 2, 3], [-1, 2, -3]], 3)
     assert c.deterministic_by_construction
-    with mock.patch.object(Circuit, "determinism_status",
-                           side_effect=AssertionError("scanned")):
+    with mock.patch.object(circuits, "_check_determinism",
+                           side_effect=AssertionError("enumerated")):
         structural_gate(c, make_semiring("prob"))
         assert grad_amc(c, LiteralMap(3, 1), make_semiring("nat"))[0] == 2
 

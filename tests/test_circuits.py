@@ -16,8 +16,8 @@ from amckit import (And, BernoulliParams, Bottom, Circuit, CircuitBuilder,
                     StructureError, Top, circuit_to_formula, compile_to_mods,
                     compute_scopes, enumerate_models, formula_variables,
                     forward, grad_amc, make_semiring, models_to_circuit,
-                    oracle_amc, oracle_grad, parse_d4, parse_weights, smooth,
-                    validate, write_d4)
+                    oracle_amc, oracle_grad, parse_d4, parse_weights,
+                    prune_unreachable, smooth, validate, write_d4)
 from amckit.circuits import (FALSE, LIT, PROD, SUM, TRUE,
                              determinism_budget)
 
@@ -182,6 +182,53 @@ def test_parse_weights_errors(tmp_path):
     toolarge.write_text("l 1 1.5\n")
     with pytest.raises(ParseError):
         parse_weights(str(toolarge), fuzzy)
+
+
+def test_literal_map_keeps_canonical_order():
+    values = ["x1", "x2", "x3", "-x1", "-x2", "-x3"]
+    m = LiteralMap.from_order(3, "fill", values)
+    assert m.literals() == [1, 2, 3, -1, -2, -3]
+    assert m.values_in_order() == values
+    assert list(m.items_in_order()) == list(zip(m.literals(), values))
+    assert [m.get(lit) for lit in m.literals()] == values
+    built = LiteralMap(3, "fill")
+    for lit, value in zip(built.literals(), values):
+        built.set(lit, value)
+    assert built == m
+    twin = m.copy()
+    assert twin == m and twin is not m
+    twin.set(-2, "changed")
+    assert twin != m and m.get(-2) == "-x2"
+    assert m.get(4) == m.get(-9) == "fill"
+
+
+@pytest.mark.parametrize("num_vars", [0, 3])
+def test_literal_map_refuses_literal_zero(num_vars):
+    m = LiteralMap(num_vars, 1.0)
+    message = re.escape(f"literal 0 outside 1..{num_vars}")
+    with pytest.raises(IndexError, match=message):
+        m.get(0)
+    with pytest.raises(IndexError, match=message):
+        m.set(0, 2.0)
+    for lit in (num_vars + 1, -num_vars - 1):
+        with pytest.raises(IndexError, match="outside"):
+            m.set(lit, 2.0)
+
+
+def test_prune_unreachable_keeps_order_and_promise():
+    # x3 and the product over it sit below the root, the sum above it
+    nodes = [(LIT, 1, ()), (LIT, 3, ()), (LIT, 2, ()), (PROD, 0, (1,)),
+             (PROD, 0, (0, 2)), (SUM, 0, (4, 1))]
+    kinds, lits, children = zip(*nodes)
+    c = Circuit(kinds, lits, children, 4, 3,
+                deterministic_by_construction=True)
+    pruned = prune_unreachable(c)
+    assert pruned.kinds == [LIT, LIT, PROD]
+    assert pruned.lits == [1, 2, 0]
+    assert pruned.children == [(), (), (0, 1)]
+    assert pruned.root == 2 and pruned.num_vars == 3
+    assert pruned.deterministic_by_construction
+    assert prune_unreachable(pruned) is pruned
 
 
 def test_compute_scopes():

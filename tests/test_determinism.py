@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -132,6 +133,43 @@ def test_determinism_enumerates_only_mentioned_variables():
     assert c.determinism_status(20) == "verified"
     assert time.perf_counter() - start < 1.0
     assert c.determinism_status(19) == "unverified"
+
+
+def _random_dnf20(count):
+    # an unpromised DNF of ``count`` random models over 20 variables
+    rng = random.Random(20)
+    models = [[v if x >> (v - 1) & 1 else -v for v in range(1, 21)]
+              for x in rng.sample(range(1 << 20), count)]
+    built = models_to_circuit(models, 20)
+    return Circuit(built.kinds, built.lits, built.children, built.root, 20)
+
+
+def test_determinism_check_memory_stays_near_its_block():
+    # 46 nodes: all 2^14 words of 2^20 assignments run in one block, whose
+    # node, gather and literal arrays take about 30 MiB; one int64 per
+    # assignment bit would take 160 MiB
+    c = _random_dnf20(5)
+    blocks = layers._word_blocks(layers.layers_of(c), 1 << 14, c.node_count)
+    assert blocks == [(0, 1 << 14)]
+    tracemalloc.start()
+    try:
+        assert c.determinism_status(20) == "verified"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * layers.BLOCK_WORDS  # 64 MiB, one block-sized array
+
+
+def test_determinism_blocks_follow_the_widest_gather():
+    # 3,041 nodes allow 2,758 words per block, but the sum's 3,000 children
+    # and the 16,380 edges of the widest product group gather a quarter of
+    # BLOCK_WORDS at most: 2^14 words in 128 blocks of 128
+    c = _random_dnf20(3000)
+    lay = layers.layers_of(c)
+    assert c.node_count == 3041
+    assert max(g.children.size for g in lay.groups) == 16380
+    blocks = layers._word_blocks(lay, 1 << 14, c.node_count)
+    assert [hi - lo for lo, hi in blocks] == [128] * 128
 
 
 def test_determinism_overlap_in_last_block_of_mentioned_variables():

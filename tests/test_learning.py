@@ -179,6 +179,20 @@ def test_word_blocks_are_few_equal_and_cover_the_words(words, rows):
     assert max(widths) <= step and max(widths) - min(widths) <= 1
 
 
+@pytest.mark.parametrize("rows", [2, 120])
+def test_word_blocks_bound_gathers_by_a_quarter_of_node_rows(rows):
+    # a group of 15 edges: its gather may take 240 // 4 words, so 4 words
+    # per block, unless 120 node rows allow only 240 // 120 = 2
+    lay = SimpleNamespace(groups=[SimpleNamespace(children=np.zeros((3, 5)))])
+    with mock.patch.object(layers, "BLOCK_WORDS", 240):
+        blocks = layers._word_blocks(lay, 100, rows)
+    widths = [hi - lo for lo, hi in blocks]
+    step = min(240 // rows, 60 // 15)
+    assert max(widths) * 15 <= 240 // 4 and max(widths) * rows <= 240
+    assert len(blocks) == -(-100 // step)
+    assert blocks[0][0] == 0 and blocks[-1][1] == 100
+
+
 @settings(max_examples=10, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(circuit=st.one_of(decision_dnnfs(True), decision_dnnfs(False)),
