@@ -11,6 +11,11 @@ at a time, with consecutive groups joined into runs of up to
 ``GROUP_EDGES`` edges. It then walks the groups top-down with one gather of
 adjoints, for a product group one multiply by its leave-one-out values, and
 one ``ufunc.at`` scatter into the adjoints, and folds leaves per literal.
+The scatter goes through the group's child matrix as one flat row of edges
+(``Group.flat``), in the matrix's order, so adjoints add up in the same
+order as through the matrix: ``ufunc.at`` has a fast path (numpy 1.25 and
+later) for a 1-D index only, several times faster for ``add`` and
+``maximum``.
 The compiled groups and buckets are cached on the immutable circuit. (After
 Maene, Derkinderen & Zuidberg Dos Martires, *KLay: Accelerating Arithmetic
 Circuits for Neurosymbolic AI*, ICLR 2025.)
@@ -164,19 +169,22 @@ class DualOps:
     @staticmethod
     def mul_scan(m):
         # from one, as the Python loops: one * x differs from x where the
-        # primal is infinite (its tangent picks up inf * 0)
+        # primal is infinite (its tangent picks up inf * 0). Row j's tangent
+        # is prev_p * t[j] + p[j] * prev_t: the primals and the first terms
+        # take one call each, and only the second runs row by row.
         (p, t), out = m, np.empty_like(m)
-        prev_p, prev_t = np.ones(m.shape[-1]), np.zeros(m.shape[-1])
-        for j, (out_p, out_t) in enumerate(zip(out[0], out[1])):
-            np.multiply(prev_p, p[j], out=out_p)
-            np.multiply(prev_p, t[j], out=out_t)
-            out_t += p[j] * prev_t
-            prev_p, prev_t = out_p, out_t
+        out_p, out_t = out
+        np.multiply.accumulate(p, axis=0, out=out_p)  # one * p[0] is p[0]
+        out_t[:1] = t[:1]
+        np.multiply(out_p[:-1], t[1:], out=out_t[1:])
+        prev_t = np.zeros(m.shape[-1])
+        for j, row in enumerate(out_t):
+            row += p[j] * prev_t
+            prev_t = row
         return out
 
     @staticmethod
     def add_at(acc, idx, vals):
-        vals = np.broadcast_to(vals, (2,) + idx.shape)
         np.add.at(acc[0], idx, vals[0])
         np.add.at(acc[1], idx, vals[1])
 
@@ -187,14 +195,20 @@ GROUP_EDGES = 1 << 14
 
 
 class Group:
-    """Sum or product nodes of one height and arity, children as a matrix."""
+    """Sum or product nodes of one height and arity, children as a matrix.
 
-    __slots__ = ("kind", "ids", "children")
+    ``flat`` is the matrix as one row of edges, a view, and ``parents`` a
+    sum group's parent per edge in that order (``None`` for products).
+    """
 
-    def __init__(self, kind, ids, children):
+    __slots__ = ("kind", "ids", "children", "flat", "parents")
+
+    def __init__(self, kind, ids, children, parents):
         self.kind = kind
         self.ids = ids
         self.children = children  # (arity, len(ids)) node ids
+        self.flat = children.ravel()
+        self.parents = parents
 
 
 class Layers:
@@ -210,7 +224,8 @@ class Layers:
         kind, offsets, flat = circuit.kind, circuit.offsets, circuit.flat
         n = circuit.node_count
         arity = np.diff(offsets)
-        height = _frontier_heights(n, np.repeat(np.arange(n), arity), flat)
+        parent = np.repeat(np.arange(n), arity)  # of each edge in flat
+        height = _frontier_heights(n, parent, flat)
 
         inner = np.flatnonzero(arity > 0)
         h, k, a = height[inner], kind[inner], arity[inner]
@@ -226,7 +241,8 @@ class Layers:
             for lo in range(start, stop, step):
                 ids = inner[lo:min(lo + step, stop)]
                 slots = offsets[ids][None, :] + np.arange(m)[:, None]
-                self.groups.append(Group(kd, ids, flat[slots]))
+                parents = parent[slots].ravel() if kd == SUM else None
+                self.groups.append(Group(kd, ids, flat[slots], parents))
                 if kd == PROD:
                     buckets.setdefault(m, []).append(self.groups[-1])
         self.buckets = list(buckets.values())
@@ -324,10 +340,12 @@ def backward_opt(circuit, values, semiring, ops):
         adj = ops.full(circuit.node_count, ops.zero)
         adj[..., [circuit.root]] = ops.full(1, ops.one)
         for g in reversed(lay.groups):
-            a = adj[..., None, g.ids]
             if g.kind == PROD:
-                a = ops.mul(a, loo_of.pop(g))
-            ops.add_at(adj, g.children, a)
+                a = ops.mul(adj[..., None, g.ids], loo_of.pop(g))
+                a = a.reshape(*a.shape[:-2], -1)
+            else:
+                a = adj[..., g.parents]
+            ops.add_at(adj, g.flat, a)
         grads = ops.full(2 * circuit.num_vars, ops.zero)
         ops.add_at(grads, lay.leaf_slots, adj[..., lay.leaf_ids])
     out = LiteralMap.from_order(circuit.num_vars, ops.zero, ops.to_list(grads))
@@ -401,8 +419,7 @@ def sat_counts(circuit, draws):
     rows, nv = draws.shape
     lits = _pack_rows(draws)
     real = _pack_rows(np.ones((rows, 1), dtype=bool))[0]
-    scatters = [(g, _OrScatter(g.children.ravel()))
-                for g in reversed(lay.groups)]
+    scatters = [(g, _OrScatter(g.flat)) for g in reversed(lay.groups)]
     leaves = _OrScatter(lay.leaf_slots)
     sat, counts = 0, np.zeros(2 * nv, dtype=np.int64)
     for lo, hi in _word_blocks(lay, len(real), circuit.node_count):

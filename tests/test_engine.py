@@ -8,8 +8,10 @@ object arrays of its scalar functions, which the native layouts must
 match. ``naive`` and ``dynamic`` are the Python reference sweeps.
 """
 
+import itertools
 import math
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -284,3 +286,95 @@ def test_overflowed_dual_product_matches_python_loop():
     assert math.isnan(forward(c, labels, make_semiring("grad")).root_value
                       .tangent)
     check_against_python_opt("grad", c, labels)
+
+
+def shared_children(k):
+    """x1 is a child of k products and, next to x2, of k sums, each as the
+    first child in half of them and the second in the other half. With x1
+    and x2 at 0.5 every division by a child is exact."""
+    b = CircuitBuilder()
+    s, z = b.literal(1), b.literal(2)
+    tops = []
+    for i in range(k):
+        y, w = b.literal(3 + i), b.literal(3 + k + i)
+        tops.append(b.product([y, s] if i % 2 == 0 else [s, y]))
+        tops.append(b.product([w, b.sum([z, s] if i % 2 == 0 else [s, z])]))
+    return b.build(b.sum(tops))
+
+
+def python_walk(c, values, column_major=False):
+    """Leaf adjoints of a top-down walk over the groups that adds one edge
+    at a time, in ``children.ravel()`` order or column by column."""
+    adj = [0.0] * c.node_count
+    adj[c.root] = 1.0
+    for g in reversed(layers.layers_of(c).groups):
+        kids, ids = g.children.tolist(), g.ids.tolist()
+        edges = [(r, j) for r in range(len(kids)) for j in range(len(ids))]
+        if column_major:
+            edges.sort(key=lambda e: (e[1], e[0]))
+        for r, j in edges:  # no parent is a child in its own group
+            a = adj[ids[j]]
+            if g.kind == PROD:
+                a *= math.prod(values[kid[j]] for q, kid in enumerate(kids)
+                               if q != r)
+            adj[kids[r][j]] += a
+    return {c.lits[i]: adj[i] for i in layers.layers_of(c).leaf_ids.tolist()}
+
+
+def test_scatter_adds_adjoints_in_edge_order():
+    # x1's adjoint sums 0.75s and 3e-16s, each 3e-16 below half an ulp of
+    # the running sum, so the order of the additions decides the rounding
+    # (a per-child sum before the add would round differently again)
+    k = 8
+    c = shared_children(k)
+    prob = make_semiring("prob")
+    labels = LiteralMap(c.num_vars, 1.0)
+    labels.set(1, 0.5)
+    labels.set(2, 0.5)
+    for i in range(k):
+        labels.set(3 + i, 3e-16 if i % 2 else 0.75)
+        labels.set(3 + k + i, 0.75 if i % 2 else 3e-16)
+    ops = layers.ops_of(prob)
+    values = layers.forward(c, labels, ops)
+    grads, _ = layers.backward_opt(c, values, prob, ops)
+    want = python_walk(c, values.tolist())
+    assert {l: grads.get(l).hex() for l in want} == \
+        {l: v.hex() for l, v in want.items()}
+    assert python_walk(c, values.tolist(), column_major=True)[1] != want[1]
+
+
+def float_bits(x):
+    return "nan" if math.isnan(x) else x.hex()
+
+
+@pytest.mark.parametrize("arity", [1, 2, 300])
+def test_dual_mul_scan_matches_dual_value_loop(arity):
+    extreme = (0.0, 1.0, 5e-324, 1e300, math.inf, math.nan)
+    rng = random.Random(arity)
+
+    def tangent():
+        return rng.choice(extreme + (-1.0, -math.inf)) if rng.random() < 0.3 \
+            else rng.uniform(-1.0, 1.0)
+
+    if arity <= 2:
+        primals = list(itertools.product(extreme, repeat=arity))
+    else:  # rare extremes, so products stay finite for a while
+        primals = [[rng.choice(extreme) if rng.random() < 0.02
+                    else rng.uniform(0.5, 2.0) for _ in range(arity)]
+                   for _ in range(16)]
+    columns = [[DualValue(p, tangent()) for p in col] for col in primals]
+    m = np.array([[[x.primal for x in col] for col in columns],
+                  [[x.tangent for x in col] for col in columns]])
+    with np.errstate(all="ignore"):  # as the passes run it
+        got = layers.DualOps.mul_scan(m.transpose(0, 2, 1))
+    want = []
+    for col in columns:
+        acc, row = DualValue(1.0, 0.0), []
+        for x in col:
+            acc = acc * x
+            row.append(acc)
+        want.append(row)
+    assert [[float_bits(v) for v in col] for col in got[0].T.tolist()] == \
+        [[float_bits(x.primal) for x in col] for col in want]
+    assert [[float_bits(v) for v in col] for col in got[1].T.tolist()] == \
+        [[float_bits(x.tangent) for x in col] for col in want]
