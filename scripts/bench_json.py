@@ -3,7 +3,8 @@
 Each commit is exported with ``git archive`` into its own temporary
 directory, and every run there is ``python3 perfbench/run.py --workload <w>
 --seed <s>``. For each workload and seed the two commits run as a pair,
-alternating which one goes first. The file keeps both commit ids, the final
+alternating which one goes first; a seed listed twice (``d4-deep:2,2``) makes
+two pairs. The file keeps both commit ids, the final
 JSON line of every run, and per workload and end-to-end metric (directions
 from ``BENCHMARK.json``) each side's median and quartiles and the number of
 pairs the change won. It is rewritten after every run, so an interrupted
@@ -23,6 +24,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,10 +66,15 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
 def _summary(runs, directions):
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        pairs = {}
+        # the k-th parent and the k-th change run of a seed are a pair
+        pairs, seen = {}, Counter()
         for r in runs:
-            if r["workload"] == workload and r["result"]:
-                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+            if r["workload"] != workload:
+                continue
+            pair = (r["seed"], seen[r["seed"], r["side"]])
+            seen[r["seed"], r["side"]] += 1
+            if r["result"]:
+                pairs.setdefault(pair, {})[r["side"]] = r["result"]["metrics"]
         metrics = {}
         for name, better in directions.items():
             values = [(p["parent"][name]["value"], p["change"][name]["value"])

@@ -22,10 +22,15 @@ Circuits for Neurosymbolic AI*, ICLR 2025.)
 
 Every semiring runs here. One that declares ``array_ops`` gets its own
 layout (``UfuncOps``, ``DualOps``); any other runs its scalar ``add``,
-``mul`` and ``try_divide`` on object arrays (``ObjectOps``). Reductions and
-scans run child after child in child order, as a loop over the children
-would, so the forward values and every leave-one-out product are the same
-values in either layout; ``backprop``'s ``naive`` sweep is the reference.
+``mul`` and ``try_divide`` on object arrays (``ObjectOps``). The forward
+folds each group straight into its nodes' values (``add_fold``,
+``mul_fold``), child after child in child order, as a loop over the
+children would; a one-node group takes the last row of a scan instead,
+since numpy adds a single column of floats pairwise. The leave-one-out
+fallback scans a group's children beside the same children reversed, so one
+scan yields both prefix and suffix products. The forward values and every
+leave-one-out product are thus the same values in either layout;
+``backprop``'s ``naive`` sweep is the reference.
 
 ``sat_counts`` runs the Boolean forward and backward on the same groups for
 a batch of assignments at once, 64 per ``uint64`` word, and counts which
@@ -40,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import LIT, PROD, SUM, TRUE, _frontier_heights
-from .literals import LiteralMap, literal_order
+from .literals import LiteralMap
 
 
 class UfuncOps:
@@ -71,11 +76,15 @@ class UfuncOps:
     def item(self, arr, i):
         return arr[i].item()
 
-    def add_scan(self, m):
-        return self.add.accumulate(m, axis=0)
+    def add_fold(self, m):
+        return _fold_children(self.add, m)
+
+    def mul_fold(self, m):
+        return _fold_children(self.mul, m)
 
     def mul_scan(self, m):
-        return self.mul.accumulate(m, axis=0)
+        """Running products down the child axis, in place."""
+        return self.mul.accumulate(m, axis=0, out=m)
 
     def add_at(self, acc, idx, vals):
         self.add.at(acc, idx, vals)
@@ -92,9 +101,9 @@ class ObjectOps(UfuncOps):
     The layout of a semiring that declares no ``array_ops``: ``add``, ``mul``
     and, where it supports division, ``try_divide`` as ``np.frompyfunc``
     ufuncs. ``try_divide`` answers ``None`` for any child that does not
-    cancel, not only ``zero``. Scans start from the identity, as a loop
-    over the children does: ``one * x`` need not be ``x`` (a dual's tangent
-    picks up ``inf * 0``), and each child costs one operation.
+    cancel, not only ``zero``. Folds and scans start from the identity, as
+    a loop over the children does: ``one * x`` need not be ``x`` (a dual's
+    tangent picks up ``inf * 0``), and each child costs one operation.
     """
 
     def __init__(self, semiring):
@@ -107,21 +116,31 @@ class ObjectOps(UfuncOps):
     def item(self, arr, i):
         return arr[i]
 
-    def add_scan(self, m):
-        return _scan_from(self.add, self.zero, m)
+    def add_fold(self, m):
+        return self.add.reduce(m, axis=0, initial=self.zero)
+
+    def mul_fold(self, m):
+        return self.mul.reduce(m, axis=0, initial=self.one)
 
     def mul_scan(self, m):
-        return _scan_from(self.mul, self.one, m)
+        self.mul(self.one, m[:1], out=m[:1])
+        return self.mul.accumulate(m, axis=0, out=m)
 
     @staticmethod
     def refused(zero_child, loo):
         return np.equal(loo, None)
 
 
-def _scan_from(ufunc, identity, m):
-    """``ufunc.accumulate`` along the child axis, started from ``identity``."""
-    start = np.full((1,) + m.shape[1:], identity, object)
-    return ufunc.accumulate(np.concatenate([start, m]), axis=0)[1:]
+def _fold_children(ufunc, m):
+    """``ufunc`` over the child axis (``-2``), child after child.
+
+    ``ufunc.reduce`` folds a matrix row by row, as a loop over the children
+    would, but a single column it folds as a 1-D array, where numpy adds
+    floats pairwise; a one-node group takes the last row of its scan.
+    """
+    if m.shape[-1] == 1:
+        return ufunc.accumulate(m, axis=-2)[..., -1, :]
+    return ufunc.reduce(m, axis=-2)
 
 
 def ops_of(semiring):
@@ -156,32 +175,36 @@ class DualOps:
     @staticmethod
     def mul(x, y):
         # the product rule in DualValue's operand order, so results match it
-        out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+        out = np.empty(np.broadcast(x, y).shape)
         np.multiply(x[0], y[0], out=out[0])
         np.multiply(x[0], y[1], out=out[1])
         out[1] += y[0] * x[1]
         return out
 
     @staticmethod
-    def add_scan(m):
-        return np.add.accumulate(m, axis=-2)
+    def add_fold(m):
+        return _fold_children(np.add, m)
+
+    @staticmethod
+    def mul_fold(m):
+        # the forward's gather is a copy, which the scan may overwrite
+        return DualOps.mul_scan(m)[:, -1]
 
     @staticmethod
     def mul_scan(m):
-        # from one, as the Python loops: one * x differs from x where the
-        # primal is infinite (its tangent picks up inf * 0). Row j's tangent
-        # is prev_p * t[j] + p[j] * prev_t: the primals and the first terms
-        # take one call each, and only the second runs row by row.
-        (p, t), out = m, np.empty_like(m)
-        out_p, out_t = out
-        np.multiply.accumulate(p, axis=0, out=out_p)  # one * p[0] is p[0]
-        out_t[:1] = t[:1]
-        np.multiply(out_p[:-1], t[1:], out=out_t[1:])
+        # in place, from one, as the Python loops: one * x differs from x
+        # where the primal is infinite (its tangent picks up inf * 0). Row
+        # j's tangent is prev_p * t[j] + p[j] * prev_t: the primals and the
+        # first terms take one call each, and only the second runs row by row.
+        p, t = m
+        prefix = np.multiply.accumulate(p, axis=0)  # one * p[0] is p[0]
+        np.multiply(prefix[:-1], t[1:], out=t[1:])
         prev_t = np.zeros(m.shape[-1])
-        for j, row in enumerate(out_t):
+        for j, row in enumerate(t):
             row += p[j] * prev_t
             prev_t = row
-        return out
+        p[...] = prefix
+        return m
 
     @staticmethod
     def add_at(acc, idx, vals):
@@ -215,10 +238,12 @@ class Layers:
     """A circuit compiled for the array engine (see the module docstring).
 
     ``groups`` run in ascending height; each of the ``buckets`` lists the
-    product groups of one arity in that order.
+    product groups of one arity in that order. ``scatters`` holds
+    ``sat_counts``' OR plans, built on its first call.
     """
 
-    __slots__ = ("groups", "buckets", "leaf_ids", "leaf_slots", "one_ids")
+    __slots__ = ("groups", "buckets", "leaf_ids", "leaf_slots", "one_ids",
+                 "scatters")
 
     def __init__(self, circuit):
         kind, offsets, flat = circuit.kind, circuit.offsets, circuit.flat
@@ -254,6 +279,7 @@ class Layers:
         self.leaf_slots = np.where(leaf_lits > 0, leaf_lits - 1, nv - leaf_lits - 1)
         # false leaves and childless sums keep the zero values start with
         self.one_ids = np.flatnonzero((kind == TRUE) | ((kind == PROD) & (arity == 0)))
+        self.scatters = None
 
 
 def layers_of(circuit) -> Layers:
@@ -271,15 +297,14 @@ def layers_of(circuit) -> Layers:
 def forward(circuit, labels, ops):
     """Per-node values of the circuit under the labeling, as an array."""
     lay = layers_of(circuit)
-    nv = circuit.num_vars
-    lit_values = ops.from_list([labels.get(l) for l in literal_order(nv)])
+    lit_values = ops.from_list(labels.values_in_order(circuit.num_vars))
     values = ops.full(circuit.node_count, ops.zero)
     with np.errstate(all="ignore"):
         values[..., lay.leaf_ids] = lit_values[..., lay.leaf_slots]
         values[..., lay.one_ids] = ops.full(len(lay.one_ids), ops.one)
         for g in lay.groups:
-            scan = ops.add_scan if g.kind == SUM else ops.mul_scan
-            values[..., g.ids] = scan(values[..., g.children])[..., -1, :]
+            fold = ops.add_fold if g.kind == SUM else ops.mul_fold
+            values[..., g.ids] = fold(values[..., g.children])
     return values
 
 
@@ -383,15 +408,20 @@ def _ordered_loo(ops, node, child):
 
 
 def _cumulative_loo(ops, child):
-    """Product of each child's siblings: exclusive suffix times prefix."""
-    one = ops.full(child.shape[-1], ops.one)
-    prefix = np.empty_like(child)
-    prefix[..., 0, :] = one
-    prefix[..., 1:, :] = ops.mul_scan(child[..., :-1, :])
-    suffix = np.empty_like(child)
-    suffix[..., -1, :] = one
-    suffix[..., :-1, :] = ops.mul_scan(child[..., :0:-1, :])[..., ::-1, :]
-    return ops.mul(suffix, prefix)
+    """Product of each child's siblings: exclusive suffix times prefix.
+
+    One scan in one buffer gives both: below a row of ``one``, the children
+    but the last beside the children but the first in reverse (columns are
+    independent). Row j then holds the product of the first j children in
+    its left half and of the last j in its right half.
+    """
+    *lead, a, n = child.shape
+    scans = np.empty((*lead, a, 2 * n), child.dtype)
+    scans[..., 0, :] = ops.full(2 * n, ops.one)
+    scans[..., 1:, :n] = child[..., :-1, :]
+    scans[..., 1:, n:] = child[..., :0:-1, :]
+    ops.mul_scan(scans[..., 1:, :])
+    return ops.mul(scans[..., ::-1, n:], scans[..., :n])
 
 
 # words per block at most (64 MiB) in one node array, and a quarter of it in
@@ -419,8 +449,10 @@ def sat_counts(circuit, draws):
     rows, nv = draws.shape
     lits = _pack_rows(draws)
     real = _pack_rows(np.ones((rows, 1), dtype=bool))[0]
-    scatters = [(g, _OrScatter(g.flat)) for g in reversed(lay.groups)]
-    leaves = _OrScatter(lay.leaf_slots)
+    if lay.scatters is None:  # apply changes only the rows it is given
+        lay.scatters = ([(g, _OrScatter(g.flat)) for g in reversed(lay.groups)],
+                        _OrScatter(lay.leaf_slots))
+    scatters, leaves = lay.scatters
     sat, counts = 0, np.zeros(2 * nv, dtype=np.int64)
     for lo, hi in _word_blocks(lay, len(real), circuit.node_count):
         values = _bool_forward(circuit, lits[:, lo:hi])

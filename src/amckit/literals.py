@@ -70,8 +70,13 @@ class LiteralMap:
     def items_in_order(self):
         return zip(literal_order(self.num_vars), self._values)
 
-    def values_in_order(self):
-        return list(self._values)
+    def values_in_order(self, num_vars=None):
+        """The values of the literals of variables 1..num_vars (default: the
+        map's) in canonical order, the fill value beyond the map's."""
+        n = self.num_vars
+        num_vars = n if num_vars is None else num_vars
+        k, pad = min(n, num_vars), [self.fill] * max(0, num_vars - n)
+        return self._values[:k] + pad + self._values[n:n + k] + pad
 
     def copy(self) -> "LiteralMap":
         return LiteralMap.from_order(self.num_vars, self.fill, self._values)

@@ -79,3 +79,14 @@ def test_summary_leaves_out_metrics_with_fewer_than_two_pairs():
     assert got["a"]["setup_s"]["pairs"] == 2
     assert got["a"]["edges_per_s"]["pairs"] == 3
     assert got["b"] == {}
+
+
+def test_summary_pairs_the_runs_of_a_repeated_seed_in_order():
+    # one seed collected three times, the side that runs first alternating
+    sides = [("parent", 1.0), ("change", 0.5), ("change", 3.0),
+             ("parent", 2.0), ("parent", 3.0), ("change", 1.0)]
+    runs = [_run("w", 2, side, s) for side, s in sides]
+    got = bench_json._summary(runs, DIRECTIONS)["w"]["setup_s"]
+    assert got["pairs"] == 3
+    assert got["change_wins"] == 2
+    assert got["change"]["median"] == 1.0

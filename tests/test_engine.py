@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 
 from amckit import (CircuitBuilder, DualValue, LiteralMap, Polynomial,
                     Semiring, backward_cancel, backward_dynamic, backward_naive,
-                    backward_optimized, forward, layers, make_semiring)
+                    backward_optimized, forward, layers, literal_order,
+                    make_semiring)
 from amckit.backprop import VARIANTS
 from amckit.circuits import PROD
 
@@ -378,3 +379,124 @@ def test_dual_mul_scan_matches_dual_value_loop(arity):
         [[float_bits(x.primal) for x in col] for col in want]
     assert [[float_bits(v) for v in col] for col in got[1].T.tolist()] == \
         [[float_bits(x.tangent) for x in col] for col in want]
+
+
+def cell_bits(x):
+    """A float or a dual, bit for bit."""
+    if isinstance(x, DualValue):
+        return float_bits(x.primal), float_bits(x.tangent)
+    return float_bits(x)
+
+
+def wide_sums(nodes, width=16):
+    """``nodes`` sums of ``width`` literals each, joined by one product."""
+    b = CircuitBuilder()
+    sums = [b.sum([b.literal(i * width + v) for v in range(1, width + 1)])
+            for i in range(nodes)]
+    return b.build(b.product(sums))
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+@pytest.mark.parametrize("name", ["prob", "grad"])
+def test_forward_adds_children_in_order(name, nodes):
+    # each sum adds 1.0 and then 1e-16s, each below half an ulp of 1.0: in
+    # child order they all round away, added pairwise (as numpy reduces a
+    # single column) they do not
+    c = wide_sums(nodes)
+    width = c.num_vars // nodes
+    base = make_semiring(name)
+    labels = LiteralMap(c.num_vars, base.one)
+    for v in range(1, c.num_vars + 1):
+        w = 1.0 if v % width == 1 else 1e-16
+        labels.set(v, DualValue(w, w) if name == "grad" else w)
+
+    def forward_bits(semiring):
+        ops = layers.ops_of(semiring)
+        return [cell_bits(x)
+                for x in ops.to_list(layers.forward(c, labels, ops))]
+
+    got = forward_bits(base)
+    assert got == forward_bits(PythonLoop(base))
+    # every sum is 1.0; a dual product of the sums adds their tangents
+    root = DualValue(1.0, float(nodes)) if name == "grad" else 1.0
+    assert got[c.root] == cell_bits(root)
+
+
+def separate_scans_loo(ops, child):
+    """Leave-one-out products from a prefix scan and a suffix scan."""
+    one = ops.full(child.shape[-1], ops.one)
+    prefix = np.empty_like(child)
+    prefix[..., 0, :] = one
+    prefix[..., 1:, :] = ops.mul_scan(child[..., :-1, :].copy())
+    suffix = np.empty_like(child)
+    suffix[..., -1, :] = one
+    suffix[..., :-1, :] = ops.mul_scan(child[..., :0:-1, :].copy())[..., ::-1, :]
+    return ops.mul(suffix, prefix)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 300])
+@pytest.mark.parametrize("name", ["prob", "log", "grad", "loop-grad"])
+def test_joint_scan_matches_separate_scans(name, arity):
+    extreme = (0.0, 5e-324, 1e300, math.inf, math.nan)
+    rng = random.Random(arity)
+    if arity <= 3:
+        columns = list(itertools.product(extreme, repeat=arity))
+    else:  # rare extremes, so products stay finite for a while
+        columns = [[rng.choice(extreme) if rng.random() < 0.02
+                    else rng.uniform(0.5, 2.0) for _ in range(arity)]
+                   for _ in range(16)]
+    if name.endswith("grad"):
+        columns = [[DualValue(p, rng.choice(extreme + (rng.uniform(-1, 1),)))
+                    for p in col] for col in columns]
+    base = make_semiring(name.removeprefix("loop-"))
+    ops = layers.ops_of(PythonLoop(base) if name.startswith("loop-")
+                        else base)
+    child = np.stack([ops.from_list(list(row)) for row in zip(*columns)],
+                     axis=-2)
+
+    def rows(loo):
+        return [[cell_bits(x) for x in ops.to_list(loo[..., j, :])]
+                for j in range(arity)]
+
+    with np.errstate(all="ignore"):  # as the passes run it
+        assert rows(layers._cumulative_loo(ops, child)) == \
+            rows(separate_scans_loo(ops, child))
+
+
+def test_sat_counts_reuse_their_scatter_plans():
+    # shared children: targets repeat, so the plans have OR trees
+    rng = np.random.default_rng(5)
+    nv = shared_children(8).num_vars
+    draws = [rng.random((rows, nv)) < 0.5 for rows in (100, 700)]
+
+    def count(c, d):
+        sat, counts = layers.sat_counts(c, d)
+        return sat, counts.tolist()
+
+    fresh = [count(shared_children(8), d) for d in draws]
+    c = shared_children(8)
+    assert [count(c, d) for d in draws] == fresh
+    plans = layers.layers_of(c).scatters
+    assert count(c, draws[0]) == fresh[0]
+    assert layers.layers_of(c).scatters is plans
+
+
+@pytest.mark.parametrize("map_vars", [2, 3, 5])
+def test_forward_reads_labels_of_the_circuit_variables(map_vars):
+    # variables beyond the map's read as its fill value; a map's variables
+    # beyond the circuit's are not read
+    b = CircuitBuilder()
+    x = {l: b.literal(l) for v in range(1, 4) for l in (v, -v)}
+    c = b.build(b.sum([b.product([x[1], x[2], x[3]]),
+                       b.product([x[-1], b.sum([x[2], x[-2]]), x[-3]])]))
+    fill = 0.375
+    labels = LiteralMap(map_vars, fill)
+    for v in range(1, map_vars + 1):
+        labels.set(v, 0.5 ** v)
+        labels.set(-v, 1.0 - 0.5 ** v)
+    prob = make_semiring("prob")
+    want = [labels.get(l) for l in literal_order(c.num_vars)]
+    assert labels.values_in_order(c.num_vars) == want
+    got = forward(c, labels, prob, check=False).values
+    x3, not_x3 = (0.125, 0.875) if map_vars >= 3 else (fill, fill)
+    assert got[c.root] == 0.5 * 0.25 * x3 + 0.5 * (0.25 + 0.75) * not_x3
