@@ -19,21 +19,22 @@ other children). Every other child takes the variant's fallback:
 * ``opt``       divides; a top-2 extremal scan, once per node, where
                 multiplication is fully ordered, cumulative products otherwise.
 
-``forward`` and ``opt`` run on the layered array engine (``layers``) for
-every semiring: in the semiring's ``array_ops`` where it declares them, on
-object arrays of its own scalar functions otherwise. ``naive``, ``cancel``
-and ``dynamic`` are one Python sweep over the tape's values (``_sweep``),
-the paper's reference variants; ``naive`` is the oracle the engine is
-tested against. One evaluation runs on one thread.
+``forward`` and the two dividing variants run on the layered array engine
+(``layers``) for every semiring, in its ``array_ops`` or on object arrays
+of its scalar functions, so the rule for dividing lives in
+``layers.backward_opt`` alone. ``naive`` and ``dynamic`` are one Python sweep over the tape's values
+(``_sweep``) that never divides: the two references every dividing variant
+is tested against, and ``naive`` the engine's oracle. One evaluation runs on
+one thread.
 
 With ``stats=`` a pass reports ``divisions`` and ``ordered_hits`` per child,
 ``fallbacks`` per child for recomputation and per node for cumulative
 products, and ``aux_slots``/``peak_aux_bytes`` for the adjoints plus the
 variant's leave-one-out buffers (none for recomputation, one of max arity
 for ``dynamic``, and two of max arity for ``opt``). These counts are the
-model of a sequential pass: the array ``opt`` holds instead one
-leave-one-out value per product edge for the pass, computed in runs of at
-most ``layers.GROUP_EDGES`` edges, which bound its temporaries.
+model of a sequential pass: on the arrays a pass holds instead one
+leave-one-out value per product edge, computed in runs of at most
+``layers.GROUP_EDGES`` edges, which bound its temporaries.
 
 Thread safety: evaluations over the same immutable circuit may run in
 parallel threads, each with its own tape. The circuit's compiled layers are
@@ -139,15 +140,12 @@ def _note_stats(stats, circuit, extra_slots, **counts):
         stats[key] = val
 
 
-def _sweep(circuit, tape, semiring, stats, divide, cumulative):
-    """The reference backward pass: adjoints top-down, folded per literal.
-
-    With ``cumulative`` a product node gives each child its prefix times
-    suffix product. Otherwise a child takes the node value divided by the
-    child when ``divide`` is set, the child is cancellative and the node
-    did not underflow, and its recomputed sibling product if not.
+def _sweep(circuit, tape, semiring, stats, cumulative):
+    """The reference backward pass, which never divides: adjoints top-down,
+    folded per literal. A product gives each child its prefix times suffix
+    product with ``cumulative``, else the recomputed product of its siblings.
     """
-    add, mul, div = semiring.add, semiring.mul, semiring.try_divide
+    add, mul = semiring.add, semiring.mul
     zero, one = semiring.zero, semiring.one
     values = tape.values
     kinds, children = circuit.kinds, circuit.children
@@ -155,16 +153,13 @@ def _sweep(circuit, tape, semiring, stats, divide, cumulative):
     adj[circuit.root] = one
     # suffix products of the current node, cumulative fallback
     suffix = [one] * circuit.max_arity
-    divisions = fallbacks = 0
+    fallbacks = 0
     for i in range(circuit.node_count - 1, -1, -1):
-        k = kinds[i]
+        k, a, ch = kinds[i], adj[i], children[i]
         if k == SUM:
-            a = adj[i]
-            for c in children[i]:
+            for c in ch:
                 adj[c] = add(adj[c], a)
         elif k == PROD and cumulative:
-            a = adj[i]
-            ch = children[i]
             t = one
             for j in range(len(ch) - 1, -1, -1):
                 suffix[j] = t
@@ -173,27 +168,17 @@ def _sweep(circuit, tape, semiring, stats, divide, cumulative):
             for idx, c in enumerate(ch):
                 adj[c] = add(adj[c], mul(a, mul(suffix[idx], prefix)))
                 prefix = mul(prefix, values[c])
-            if ch:
-                fallbacks += 1
+            fallbacks += bool(ch)
         elif k == PROD:
-            a = adj[i]
-            ch = children[i]
-            node_val = values[i]
-            # a zero product of nonzero children underflowed
-            can_div = divide and not (
-                node_val == zero and all(values[c] != zero for c in ch))
+            fallbacks += len(ch)
             for idx, c in enumerate(ch):
-                if can_div and (loo := div(node_val, values[c])) is not None:
-                    divisions += 1
-                else:
-                    fallbacks += 1
-                    loo = one
-                    for j, d in enumerate(ch):
-                        if j != idx:
-                            loo = mul(loo, values[d])
+                loo = one
+                for j, d in enumerate(ch):
+                    if j != idx:
+                        loo = mul(loo, values[d])
                 adj[c] = add(adj[c], mul(a, loo))
     _note_stats(stats, circuit, circuit.max_arity if cumulative else 0,
-                divisions=divisions, ordered_hits=0, fallbacks=fallbacks)
+                divisions=0, ordered_hits=0, fallbacks=fallbacks)
     # several leaves may carry the same literal; their adjoints accumulate
     grads = LiteralMap(circuit.num_vars, zero)
     lits = circuit.lits
@@ -207,7 +192,7 @@ def _sweep(circuit, tape, semiring, stats, divide, cumulative):
 def backward_naive(circuit: Circuit, tape: ForwardTape, semiring,
                    stats=None) -> LiteralMap:
     """Leave-one-out products recomputed per child; the engine's own oracle."""
-    return _sweep(circuit, tape, semiring, stats, False, False)
+    return _sweep(circuit, tape, semiring, stats, False)
 
 
 def backward_cancel(circuit: Circuit, tape: ForwardTape, semiring,
@@ -223,7 +208,7 @@ def backward_cancel(circuit: Circuit, tape: ForwardTape, semiring,
             f"semiring '{semiring.name}' provides no division; "
             "use the dynamic or naive variant"
         )
-    return _sweep(circuit, tape, semiring, stats, True, False)
+    return _on_arrays(circuit, tape, semiring, stats, recompute=True)
 
 
 def backward_dynamic(circuit: Circuit, tape: ForwardTape, semiring,
@@ -233,7 +218,7 @@ def backward_dynamic(circuit: Circuit, tape: ForwardTape, semiring,
     The buffer is sized once to the maximum product arity and reused across
     nodes.
     """
-    return _sweep(circuit, tape, semiring, stats, False, True)
+    return _sweep(circuit, tape, semiring, stats, True)
 
 
 def backward_optimized(circuit: Circuit, tape: ForwardTape, semiring,
@@ -245,12 +230,17 @@ def backward_optimized(circuit: Circuit, tape: ForwardTape, semiring,
     node value itself is the leave-one-out product for every child except a
     unique extremal one, which takes the second extremal instead; (c)
     otherwise fill in from the node's cumulative prefix/suffix products,
-    computed at most once. Runs on the layered array engine
-    (``layers.backward_opt``).
+    computed at most once.
     """
+    return _on_arrays(circuit, tape, semiring, stats, recompute=False)
+
+
+def _on_arrays(circuit, tape, semiring, stats, recompute):
     values, ops = tape.array(semiring)
-    grads, counts = layers.backward_opt(circuit, values, semiring, ops)
-    _note_stats(stats, circuit, 2 * circuit.max_arity, **counts)
+    grads, counts = layers.backward_opt(circuit, values, semiring, ops,
+                                        recompute)
+    _note_stats(stats, circuit, 0 if recompute else 2 * circuit.max_arity,
+                **counts)
     return grads
 
 
@@ -262,6 +252,16 @@ VARIANTS = {
 }
 
 
+def _variant(algo):
+    """The backward pass named ``algo``, read from ``VARIANTS`` when called
+    (perfbench's tracer swaps its entries), or a ``ConfigError`` naming them."""
+    try:
+        return VARIANTS[algo]
+    except KeyError:
+        valid = ", ".join(sorted(VARIANTS))
+        raise ConfigError(f"unknown variant {algo!r}; valid: {valid}") from None
+
+
 def grad_amc(circuit: Circuit, labels: LiteralMap, semiring, algo="opt", *,
              check=True, stats=None):
     """Model count and per-literal conditioned counts in one round trip.
@@ -269,11 +269,7 @@ def grad_amc(circuit: Circuit, labels: LiteralMap, semiring, algo="opt", *,
     Returns ``(amc, gradient)``. Literals with no leaf in the circuit get
     the additive identity unless smoothing introduced their gadget.
     """
-    try:
-        backward = VARIANTS[algo]
-    except KeyError:
-        valid = ", ".join(sorted(VARIANTS))
-        raise ConfigError(f"unknown variant {algo!r}; valid: {valid}") from None
+    backward = _variant(algo)
     tape = forward(circuit, labels, semiring, check=check)
     grads = backward(circuit, tape, semiring, stats=stats)
     return tape.root_value, grads

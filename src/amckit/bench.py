@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .backprop import VARIANTS, forward
+from .backprop import _variant, forward
 from .circuits import Circuit, CircuitBuilder, default_labels
 from .errors import AmckitError
 from .literals import LiteralMap, _from_pairs
@@ -35,18 +35,9 @@ class BenchRecord:
     error: str = ""
 
     def to_csv_row(self) -> str:
-        return ",".join([
-            self.circuit_id,
-            str(self.n),
-            str(self.e),
-            self.semiring,
-            self.variant,
-            str(self.rep),
-            f"{self.forward_ms:.6f}",
-            f"{self.backward_ms:.6f}",
-            str(self.peak_aux_bytes),
-            self.error,
-        ])
+        return (f"{self.circuit_id},{self.n},{self.e},{self.semiring},"
+                f"{self.variant},{self.rep},{self.forward_ms:.6f},"
+                f"{self.backward_ms:.6f},{self.peak_aux_bytes},{self.error}")
 
 
 def records_to_csv(records) -> str:
@@ -74,39 +65,39 @@ def uniform_labels(circuit: Circuit, semiring, seed: int) -> LiteralMap:
         for _ in range(circuit.num_vars)])
 
 
+def _failed(circuit_id, circuit, semiring, exc, variant="-", rep=0,
+            forward_ms=0.0):
+    """The record of a run that raised ``exc``; no circuit if none parsed."""
+    n, e = (circuit.node_count, circuit.edge_count) if circuit else (0, 0)
+    return BenchRecord(circuit_id, n, e, semiring.name, variant, rep,
+                       forward_ms, 0.0, 0, error=str(exc).replace(",", ";"))
+
+
 def measure(circuit_id: str, circuit: Circuit, labels, semiring, variants,
             repeat=10, warmup=1):
     """Time forward and each backward variant; one record per (variant, rep)."""
+    backwards = [(name, _variant(name)) for name in variants]
     records = []
-    for _ in range(warmup):
-        tape = forward(circuit, labels, semiring)
-        for name in variants:
-            try:
-                VARIANTS[name](circuit, tape, semiring)
-            except AmckitError:
-                pass
-    for rep in range(repeat):
+    for rep in range(-max(warmup, 0), repeat):
         t0 = time.perf_counter_ns()
         tape = forward(circuit, labels, semiring)
         forward_ms = (time.perf_counter_ns() - t0) / 1e6
-        for name in variants:
+        for name, backward in backwards:
             stats = {}
             try:
                 t0 = time.perf_counter_ns()
-                VARIANTS[name](circuit, tape, semiring, stats=stats)
+                backward(circuit, tape, semiring, stats=stats)
                 backward_ms = (time.perf_counter_ns() - t0) / 1e6
             except AmckitError as exc:
-                records.append(BenchRecord(
+                record = _failed(circuit_id, circuit, semiring, exc, name,
+                                 rep, forward_ms)
+            else:
+                record = BenchRecord(
                     circuit_id, circuit.node_count, circuit.edge_count,
-                    semiring.name, name, rep, forward_ms, 0.0, 0,
-                    error=str(exc).replace(",", ";"),
-                ))
-                continue
-            records.append(BenchRecord(
-                circuit_id, circuit.node_count, circuit.edge_count,
-                semiring.name, name, rep, forward_ms, backward_ms,
-                stats.get("peak_aux_bytes", 0),
-            ))
+                    semiring.name, name, rep, forward_ms, backward_ms,
+                    stats.get("peak_aux_bytes", 0))
+            if rep >= 0:  # not a warm-up rep
+                records.append(record)
     return records
 
 
@@ -115,23 +106,21 @@ def run_suite(named_circuits, semiring, variants, repeat=10, warmup=1,
     """Benchmark a list of (id, circuit or exception) pairs.
 
     Failures become records with the error column set; the run continues.
+    An unknown variant fails the call instead.
     """
+    for name in variants:
+        _variant(name)
     records = []
     for circuit_id, circuit in named_circuits:
         if isinstance(circuit, Exception):
-            records.append(BenchRecord(circuit_id, 0, 0, semiring.name, "-", 0,
-                                       0.0, 0.0, 0,
-                                       error=str(circuit).replace(",", ";")))
+            records.append(_failed(circuit_id, None, semiring, circuit))
             continue
         try:
             labels = uniform_labels(circuit, semiring, seed)
             records += measure(circuit_id, circuit, labels, semiring, variants,
                                repeat=repeat, warmup=warmup)
         except AmckitError as exc:
-            records.append(BenchRecord(circuit_id, circuit.node_count,
-                                       circuit.edge_count, semiring.name, "-",
-                                       0, 0.0, 0.0, 0,
-                                       error=str(exc).replace(",", ";")))
+            records.append(_failed(circuit_id, circuit, semiring, exc))
     return records
 
 

@@ -1,4 +1,4 @@
-"""Layered array evaluation: forward and the ``opt`` backward on numpy arrays.
+"""Layered array evaluation: forward, ``opt`` and ``cancel`` on numpy arrays.
 
 A circuit is compiled once into groups of nodes that share a height (the
 longest path down to a leaf), a kind and an arity, split where they would
@@ -26,7 +26,7 @@ layout (``UfuncOps``, ``DualOps``); any other runs its scalar ``add``,
 folds each group straight into its nodes' values (``add_fold``,
 ``mul_fold``), child after child in child order, as a loop over the
 children would; a one-node group takes the last row of a scan instead,
-since numpy adds a single column of floats pairwise. The leave-one-out
+since numpy adds a single column of floats pairwise. The cumulative
 fallback scans a group's children beside the same children reversed, so one
 scan yields both prefix and suffix products. The forward values and every
 leave-one-out product are thus the same values in either layout;
@@ -308,25 +308,26 @@ def forward(circuit, labels, ops):
     return values
 
 
-def backward_opt(circuit, values, semiring, ops):
-    """The ``opt`` backward pass on arrays.
+def backward_opt(circuit, values, semiring, ops, recompute=False):
+    """The ``opt`` backward pass on arrays, and with ``recompute`` ``cancel``.
 
     First the leave-one-out product of every product edge, per bucket of
     one arity in runs of consecutive groups of at most ``GROUP_EDGES``
     edges (``_runs``), kept until the walk reaches the group. Per child it
-    is: the node value divided by the child where the child is
-    cancellative (``ops.refused``) and the node did not underflow; under
+    is the node value divided by the child where the child is cancellative
+    (``ops.refused``) and the node did not underflow; else with
+    ``recompute`` its siblings' product (``_recomputed_loo``); else under
     fully ordered multiplication the node value, or the second extremal
-    child for a unique extremal one (a top-2 scan by ``mul``); otherwise
-    the node's cumulative prefix/suffix products. The top-down walk then
+    child for a unique extremal one (a top-2 scan by ``mul``); else the
+    node's cumulative prefix/suffix products. The top-down walk then
     gathers each group's adjoints, multiplies a product group's by its
     leave-one-out values and scatters the result into the children.
-    Returns the gradient and the strategy counts: ``divisions`` and
-    ``ordered_hits`` per child, ``fallbacks`` per node.
+    Returns the gradient and the counts ``divisions`` and ``ordered_hits``
+    per child, and ``fallbacks`` per child with ``recompute``, else per node.
     """
     lay = layers_of(circuit)
     has_div = semiring.supports_division
-    ordered = semiring.fully_ordered_mul
+    ordered = semiring.fully_ordered_mul and not recompute
     divisions = ordered_hits = fallbacks = 0
     loo_of = {}  # product group -> its leave-one-out values
     with np.errstate(all="ignore"):
@@ -344,7 +345,10 @@ def backward_opt(circuit, values, semiring, ops):
                     rest, loo = np.ones(child.shape[-2:], dtype=bool), None
                 hits = int(np.count_nonzero(rest))
                 divisions += rest.size - hits
-                if hits and ordered:
+                if hits and recompute:
+                    fallbacks += hits
+                    _recomputed_loo(ops, child, rest, loo)
+                elif hits and ordered:
                     ordered_hits += hits
                     alt = _ordered_loo(ops, node, child)
                     loo = alt if loo is None else np.where(rest, alt, loo)
@@ -405,6 +409,20 @@ def _ordered_loo(ops, node, child):
     unique = is_first & (np.count_nonzero(is_first, axis=0) == 1)
     second = ops.mul.reduce(np.where(is_first, ops.one, child), axis=0)
     return np.where(unique, second, node)
+
+
+def _recomputed_loo(ops, child, rest, loo):
+    """Set ``loo`` where ``rest`` is to the child's siblings folded from
+    ``one`` in child order, as ``naive`` does: arity - 1 multiplies each."""
+    for j in np.flatnonzero(rest.any(axis=-1)):
+        cols = rest[j]
+        if child.shape[-2] == 1:  # an empty ufunc fold gives the ufunc's identity, not one
+            loo[..., j, cols] = ops.full(int(np.count_nonzero(cols)), ops.one)
+            continue
+        # in C order: a fold runs row after row only where the child axis is
+        # not the contiguous one (numpy adds floats pairwise along that one)
+        siblings = np.ascontiguousarray(np.delete(child, j, axis=-2)[..., cols])
+        loo[..., j, cols] = ops.mul_fold(siblings)
 
 
 def _cumulative_loo(ops, child):

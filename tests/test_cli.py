@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from amckit import compile_to_mods, read_dimacs, write_d4
-from amckit.bench import CSV_HEADER
+from amckit import (ConfigError, compile_to_mods, default_labels,
+                    make_semiring, parse_d4, read_dimacs, write_d4)
+from amckit.bench import CSV_HEADER, measure, run_suite
 from amckit.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -366,6 +367,25 @@ def test_bench_error_rows_keep_running(capsys, tmp_path):
     ok = [l for l in lines if l.split(",")[0] == "ok.nnf"]
     assert len(errors) == 1 and errors[0].split(",")[-1] != ""
     assert len(ok) == 2
+
+
+def test_bench_unknown_variant_lists_the_variants(capsys):
+    code, out, err = run_cli(capsys, "bench",
+                             "--circuit", data_path("example2_smooth.nnf"),
+                             "--algos", "naive,foo")
+    assert (code, out) == (1, "")
+    assert err == ("error: unknown variant 'foo'; valid: cancel, dynamic, "
+                   "naive, opt\n")
+
+
+def test_bench_api_names_the_valid_variants():
+    circuit = parse_d4(data_path("example2_smooth.nnf"))
+    prob = make_semiring("prob")
+    labels = default_labels(prob, circuit.num_vars)
+    for call in (lambda: measure("c", circuit, labels, prob, ["naive", "foo"]),
+                 lambda: run_suite([("c", circuit)], prob, ["foo"])):
+        with pytest.raises(ConfigError, match="valid: cancel, dynamic, naive"):
+            call()
 
 
 def test_cli_module_entry_point():

@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from amckit import (CircuitBuilder, DualValue, LiteralMap, Polynomial,
+from amckit import (Circuit, CircuitBuilder, DualValue, LiteralMap, Polynomial,
                     Semiring, backward_cancel, backward_dynamic, backward_naive,
                     backward_optimized, forward, layers, literal_order,
                     make_semiring)
 from amckit.backprop import VARIANTS
-from amckit.circuits import PROD
+from amckit.circuits import LIT, PROD, models_to_circuit
 
 from conftest import PythonLoop, cases, labeling
 
@@ -238,10 +238,17 @@ def test_leave_one_out_chunks_keep_results(name, bound, monkeypatch):
     S = make_semiring(name)
     tape = forward(c, labels, S)  # compiles the groups at the default bound
 
+    variants = [backward_optimized]
+    if S.supports_division:
+        variants.append(backward_cancel)
+
     def run():
-        stats = {}
-        grads = backward_optimized(c, tape, S, stats=stats)
-        return [repr(v) for v in grads.values_in_order()], stats
+        out = []
+        for backward in variants:
+            stats = {}
+            grads = backward(c, tape, S, stats=stats)
+            out.append(([repr(v) for v in grads.values_in_order()], stats))
+        return out
 
     want = run()
     # only the leave-one-out chunks see the bound: the groups are compiled
@@ -273,6 +280,67 @@ def test_underflowed_product_is_not_divided(arity):
     assert backward_cancel(c, tape, prob, stats=stats) == want
     assert stats["fallbacks"] == arity
     assert backward_dynamic(c, tape, prob) == want
+
+
+@pytest.mark.parametrize("name", ["bool", "prob", "log", "viterbi",
+                                  "tropical", "gf2", "loop", "nat"])
+@pytest.mark.parametrize("weight", [0.0, 0.5])
+def test_cancel_on_products_of_one_child(name, weight):
+    """Products of one child, which ``CircuitBuilder`` never makes: the
+    sibling product is ``one``, divided out or recomputed."""
+    # x1 * x2 as the product of two one-child products
+    c = Circuit([LIT, LIT, PROD, PROD, PROD], [1, 2, 0, 0, 0],
+                [(), (), (0,), (1,), (2, 3)], 4, 2)
+    S = make_semiring(name if name != "loop" else "prob")
+    if name == "loop":
+        S = PythonLoop(S)
+    tape = forward(c, labeling(S.name, c, [weight, 0.5] + [1.0] * 6), S)
+    stats = {}
+    got = backward_cancel(c, tape, S, stats=stats)
+    want = backward_naive(c, tape, S)
+    assert [repr(v) for v in got.values_in_order()] == \
+        [repr(v) for v in want.values_in_order()]
+    # a zero x1 is refused in its own product, and its product in the root
+    zero_children = 2 if weight == 0.0 else 0
+    assert stats["fallbacks"] == zero_children
+    assert stats["divisions"] == 4 - zero_children
+
+
+@pytest.mark.parametrize("name", ["bool", "gf2"])
+def test_cancel_takes_no_top2_scan(name):
+    """``bool`` and ``gf2`` divide and are fully ordered: ``opt`` sends
+    their zero children to the top-2 scan, and ``cancel`` recomputes the
+    sibling products of the same children."""
+    c = three_arities()
+    ws = [0.5, 0.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5] + [0.0] * 8
+    S = make_semiring(name)
+    tape = forward(c, labeling(name, c, ws), S)
+    cancel, opt = {}, {}
+    assert backward_cancel(c, tape, S, stats=cancel) == \
+        backward_naive(c, tape, S)
+    backward_optimized(c, tape, S, stats=opt)
+    assert cancel["ordered_hits"] == 0
+    assert cancel["fallbacks"] == opt["ordered_hits"] > 0
+    assert cancel["divisions"] == opt["divisions"]
+
+
+@pytest.mark.parametrize("name", ["log", "tropical"])
+def test_recomputed_siblings_fold_in_child_order(name):
+    """Two products of 12 children in one group, each with a zero child:
+    ``cancel`` recomputes that child's 11 siblings child after child, as
+    ``naive`` does, where numpy would add along a contiguous axis pairwise."""
+    c = models_to_circuit([[1, *range(2, 13)], [-1, *range(-2, -13, -1)]],
+                          12)
+    rng = random.Random(3)
+    ws = [0.0, *(rng.uniform(0.05, 1.0) for _ in range(11)), 0.0,
+          *(rng.uniform(0.05, 1.0) for _ in range(11))] + [1.0] * 24
+    S = make_semiring(name)
+    tape = forward(c, labeling(name, c, ws), S)
+    stats = {}
+    got = backward_cancel(c, tape, S, stats=stats)
+    assert stats["fallbacks"] == 2
+    assert [repr(v) for v in got.values_in_order()] == \
+        [repr(v) for v in backward_naive(c, tape, S).values_in_order()]
 
 
 def test_overflowed_dual_product_matches_python_loop():
