@@ -1,8 +1,11 @@
 """Layered array evaluation: forward, ``opt`` and ``cancel`` on numpy arrays.
 
-A circuit is compiled once into groups of nodes that share a height (the
-longest path down to a leaf), a kind and an arity, split where they would
-exceed ``GROUP_EDGES`` edges. Each group holds a
+A circuit is compiled once into groups of nodes that share a height, a
+kind and an arity, split where they would exceed ``GROUP_EDGES`` edges. A
+node's height is its longest path down to a leaf, except that a node of one
+parent edge moves up to just below its parent where nodes of its kind and
+arity already are: any height between the two keeps the order of a pass,
+and joining a group there adds none. Each group holds a
 ``(arity, nodes)`` matrix of child ids, so a forward pass is one gather and
 one reduction per group in ascending height. The product groups of one
 arity also form a bucket. A product edge's leave-one-out value reads only
@@ -224,9 +227,10 @@ class Group:
     sum group's parent per edge in that order (``None`` for products).
     """
 
-    __slots__ = ("kind", "ids", "children", "flat", "parents")
+    __slots__ = ("height", "kind", "ids", "children", "flat", "parents")
 
-    def __init__(self, kind, ids, children, parents):
+    def __init__(self, height, kind, ids, children, parents):
+        self.height = height
         self.kind = kind
         self.ids = ids
         self.children = children  # (arity, len(ids)) node ids
@@ -237,8 +241,10 @@ class Group:
 class Layers:
     """A circuit compiled for the array engine (see the module docstring).
 
-    ``groups`` run in ascending height; each of the ``buckets`` lists the
-    product groups of one arity in that order. ``scatters`` holds
+    ``groups`` run in ascending height, each child below its parent, and
+    have only (height, kind, arity) keys that the longest-path heights
+    give; each of the ``buckets`` lists the product groups of one arity in
+    that order. ``scatters`` holds
     ``sat_counts``' OR plans, built on its first call.
     """
 
@@ -254,6 +260,18 @@ class Layers:
 
         inner = np.flatnonzero(arity > 0)
         h, k, a = height[inner], kind[inner], arity[inner]
+        # a node of one parent edge may sit at any height below its parent:
+        # lift it to just below, where nodes of its kind and arity already
+        # sit, so it joins their group. Its children stay below it, and its
+        # parent is lifted, if at all, above its own longest-path height
+        dims = [int(x.max(initial=0)) + 1 for x in (h, k, a)]
+        keys = np.ravel_multi_index((h, k, a), dims)
+        one = np.flatnonzero(np.bincount(flat, minlength=n)[inner] == 1)
+        up = np.empty(n, dtype=np.int64)
+        up[flat] = parent
+        to = height[up[inner[one]]] - 1
+        fits = np.isin(np.ravel_multi_index((to, k[one], a[one]), dims), keys)
+        h[one[fits]] = to[fits]
         order = np.lexsort((inner, a, k, h))
         inner, h, k, a = inner[order], h[order], k[order], a[order]
         cut = np.flatnonzero((np.diff(h) != 0) | (np.diff(k) != 0)
@@ -261,13 +279,13 @@ class Layers:
         bounds = [0, *cut.tolist(), len(inner)] if inner.size else [0]
         self.groups, buckets = [], {}
         for start, stop in zip(bounds, bounds[1:]):
-            m, kd = int(a[start]), int(k[start])
+            m, kd, ht = int(a[start]), int(k[start]), int(h[start])
             step = max(1, GROUP_EDGES // m)
             for lo in range(start, stop, step):
                 ids = inner[lo:min(lo + step, stop)]
                 slots = offsets[ids][None, :] + np.arange(m)[:, None]
                 parents = parent[slots].ravel() if kd == SUM else None
-                self.groups.append(Group(kd, ids, flat[slots], parents))
+                self.groups.append(Group(ht, kd, ids, flat[slots], parents))
                 if kd == PROD:
                     buckets.setdefault(m, []).append(self.groups[-1])
         self.buckets = list(buckets.values())

@@ -19,12 +19,14 @@ from hypothesis import HealthCheck, given, settings
 
 from amckit import (Circuit, CircuitBuilder, DualValue, LiteralMap, Polynomial,
                     Semiring, backward_cancel, backward_dynamic, backward_naive,
-                    backward_optimized, forward, layers, literal_order,
-                    make_semiring)
+                    backward_optimized, forward, layers, learning,
+                    literal_order, make_semiring, smooth)
 from amckit.backprop import VARIANTS
-from amckit.circuits import LIT, PROD, models_to_circuit
+from amckit.circuits import (LIT, PROD, SUM, _frontier_heights,
+                             models_to_circuit)
 
 from conftest import PythonLoop, cases, labeling
+from test_circuits import random_decision_circuit
 
 ARRAY_SEMIRINGS = ("bool", "prob", "log", "viterbi", "tropical", "fuzzy",
                    "grad", "gf2")
@@ -255,6 +257,116 @@ def test_leave_one_out_chunks_keep_results(name, bound, monkeypatch):
     monkeypatch.setattr(layers, "GROUP_EDGES", bound)
     assert run() == want
     check_against_python_opt(name, c, labels)
+
+
+def asap_keys(c):
+    """(height, kind, arity) of every inner node at its longest path down
+    to a leaf: the keys of the leveling before any node is lifted."""
+    arity = np.diff(c.offsets)
+    parent = np.repeat(np.arange(c.node_count), arity)
+    height = _frontier_heights(c.node_count, parent, c.flat)
+    inner = np.flatnonzero(arity > 0)
+    return set(zip(height[inner].tolist(), c.kind[inner].tolist(),
+                   arity[inner].tolist()))
+
+
+def check_leveling(c):
+    """Every inner node is in one group, after and above the groups of its
+    inner children, and no group has a key the longest-path leveling lacks.
+    Returns the compiled groups."""
+    lay = layers.layers_of(c)
+    arity = np.diff(c.offsets)
+    group_of = np.full(c.node_count, -1)
+    for i, g in enumerate(lay.groups):
+        assert (group_of[g.ids] == -1).all()
+        group_of[g.ids] = i
+        assert (c.kind[g.ids] == g.kind).all()
+        assert (arity[g.ids] == g.children.shape[0]).all()
+        inner_children = g.flat[arity[g.flat] > 0]
+        assert (group_of[inner_children] >= 0).all()  # an earlier group
+        assert all(lay.groups[j].height < g.height
+                   for j in set(group_of[inner_children].tolist()))
+    assert (group_of[arity > 0] >= 0).all()
+    leaves = np.flatnonzero(arity == 0)
+    assert set(lay.leaf_ids.tolist()) <= set(leaves.tolist())
+    assert set(lay.one_ids.tolist()) <= set(leaves.tolist())
+    assert [g.height for g in lay.groups] == \
+        sorted(g.height for g in lay.groups)
+    keys = {(g.height, g.kind, g.children.shape[0]) for g in lay.groups}
+    assert keys <= asap_keys(c)
+    return lay.groups
+
+
+def layered_decision(width, depth, seed, skip=0.125):
+    """``(x ∧ a) ∨ (¬x ∧ b)`` per node of level k, ``a`` and ``b`` drawn from
+    level k - 1 and ``b`` with probability ``skip`` from level k - 2, over
+    ``width`` literals of x1: perfbench's d4-shaped circuit, smoothed."""
+    rng = random.Random(seed)
+    b = CircuitBuilder()
+    levels = [[b.literal(rng.choice((1, -1))) for _ in range(width)]]
+    for k in range(1, depth + 1):
+        var, prev = k + 1, levels[-1]
+        level = []
+        for _ in range(1 if k == depth else width):
+            a = rng.choice(prev)
+            src = levels[-2] if k >= 2 and rng.random() < skip else prev
+            else_ = rng.choice(src)
+            level.append(b.sum([b.product([b.literal(var), a]),
+                                b.product([b.literal(-var), else_])]))
+        levels.append(level)
+    return smooth(b.build(levels[-1][0]))
+
+
+def test_leveling_of_three_arities():
+    check_leveling(three_arities())
+
+
+def test_leveling_lifts_smoothing_wrappers():
+    # smooth wraps a skip edge's child in a product with the skipped
+    # variable's gadget: the wrapper's one parent, a sum, reads it a height
+    # below its other product child, where the wrapper's key also occurs
+    c = layered_decision(10, 10, seed=3)
+    groups = check_leveling(c)
+    assert len(groups) < len(asap_keys(c))
+
+
+def test_leveling_of_gf2_embeddings(rng):
+    for n in (2, 3, 5, 8):
+        for _ in range(5):
+            m = np.triu(np.array([[rng.random() < 0.5 for _ in range(n)]
+                                  for _ in range(n)], dtype=np.int64))
+            check_leveling(learning.matrix_to_circuit(m | m.T))
+
+
+def test_leveling_of_random_decision_circuits(rng):
+    for _ in range(60):
+        raw, _ = random_decision_circuit(rng, [1, 2, 3, 4, 5, 6])
+        check_leveling(raw)
+        check_leveling(smooth(raw))
+
+
+def test_leveling_lifts_a_node_of_one_parent_where_its_key_is():
+    # x1..x4; a chain of single-parent products 4 -> 5 -> 6, the product 7
+    # of one parent (the root) three heights below it, the sum 8 of one
+    # parent, and the unreachable product 9
+    c = Circuit([LIT] * 4 + [PROD] * 4 + [SUM, PROD, PROD],
+                [1, 2, 3, 4] + [0] * 7,
+                [(), (), (), (), (0, 1), (4, 2), (5, 3), (2, 3), (0, 1),
+                 (0, 1), (6, 7, 8)], 10, 4)
+    groups = check_leveling(c)
+    by_height = sorted((g.height, sorted(g.ids.tolist())) for g in groups)
+    # 7 joins the chain's product at height 3; the sum 8 has no sum at
+    # height 3 to join, and the unreachable 9 no parent
+    assert by_height == [(1, [4, 9]), (1, [8]), (2, [5]), (3, [6, 7]),
+                         (4, [10])]
+    prob = make_semiring("prob")
+    labels = labeling("prob", c, [0.3, 0.6, 0.7, 0.2] + [0.5] * 4 + [1.0] * 8)
+    # neither smooth nor decomposable: the gate would refuse it
+    tape = forward(c, labels, prob, check=False)
+    assert tape.root_value == \
+        forward(c, labels, PythonLoop(prob), check=False).root_value
+    assert same_maps("prob", backward_optimized(c, tape, prob),
+                     backward_naive(c, tape, prob), SAME_AS_REFERENCE)
 
 
 @pytest.mark.parametrize("arity", [2, 5])
