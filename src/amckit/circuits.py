@@ -63,7 +63,8 @@ class Circuit:
     __slots__ = ("kind", "lit", "offsets", "flat", "root", "num_vars",
                  "deterministic_by_construction", "_kinds", "_lits",
                  "_children", "_max_arity", "_rows", "_smooth",
-                 "_decomposable", "_sums", "_determinism", "_layers")
+                 "_decomposable", "_sums", "_determinism", "_layers",
+                 "_heights")
 
     def __init__(self, kinds, lits, children, root, num_vars,
                  deterministic_by_construction=False):
@@ -122,6 +123,7 @@ class Circuit:
         self._sums = None  # sums of two or more children, once listed
         self._determinism = None  # the exhaustive check's verdict, once run
         self._layers = None  # compiled by layers.layers_of on first use
+        self._heights = None  # longest paths to a leaf, see layers.Layers
 
     @property
     def kinds(self) -> list:
@@ -473,6 +475,11 @@ def parse_d4(path) -> Circuit:
     The file is read as bytes and checked in array passes over all its
     tokens; the first line in file order with an error raises
     ``ParseError``, and cycles are looked for once every line has passed.
+    The one frontier pass (``_frontier_heights``) runs on the file's graph,
+    for the order and the cycle check. The circuit's own heights, which
+    ``layers.Layers`` groups by, follow from that order in one
+    ``maximum.reduceat`` per level (``_leveled_heights``) and are handed
+    to it, so its compile walks no frontier.
     """
     kind, ids, parent, child, at, m, lits = _d4_graph(path)
     height = _frontier_heights(len(ids), parent, child)
@@ -489,8 +496,27 @@ def parse_d4(path) -> Circuit:
         kind, height, parent[live], child[live], m[live], lits)
     order = np.flatnonzero(_reachable(offsets, flat, root))
     order = order[np.argsort(key[order], kind="stable")]
-    return _relabelled(kinds, lit, offsets, flat, order, root,
-                       int(np.abs(lits).max(initial=0)), True)
+    circuit = _relabelled(kinds, lit, offsets, flat, order, root,
+                          int(np.abs(lits).max(initial=0)), True)
+    circuit._heights = _leveled_heights(circuit.offsets, circuit.flat,
+                                        key[order])
+    return circuit
+
+
+def _leveled_heights(offsets, flat, key):
+    """Longest path from each node down to a leaf, given ascending ``key``s
+    under which every child lies below its parent and the leaves are the
+    nodes of the lowest key. The nodes of one key, and so their children
+    in ``flat``, are contiguous: each key is one ``maximum.reduceat`` over
+    the heights of the keys below it."""
+    height = np.zeros(len(key), dtype=np.int64)
+    bounds = (np.flatnonzero(np.diff(key)) + 1).tolist()
+    for lo, hi in zip(bounds, bounds[1:] + [len(key)]):
+        a, b = offsets[lo], offsets[hi]
+        height[lo:hi] = np.maximum.reduceat(height[flat[a:b]],
+                                            offsets[lo:hi] - a)
+        height[lo:hi] += 1
+    return height
 
 
 def _d4_graph(path):
@@ -750,10 +776,22 @@ def smooth(circuit: Circuit) -> Circuit:
     them. Requires a decomposable input. The missing variables of each
     (sum, child) edge are read from the packed scope rows, and the nodes
     are relabelled once; a circuit that misses nothing is returned as is.
+
+    The result starts out knowing what smoothing made it: its scope rows
+    (a gadget and a leaf made for it carry their variable, a wrapper its
+    sum's row, every other node its own), that it is smooth and
+    decomposable, and its heights for ``layers.Layers``. A gadget has
+    height 1 and a wrapper over child ``c`` height ``1 + max(h(c), 1)``;
+    the other nodes keep the input's heights, which stay exact while every
+    wrapper is below its sum. Where one is not, or the input's heights are
+    unknown, the compile walks the frontier itself. So the gate folds no
+    scopes and compiles nothing above the determinism budget: the
+    result's compile runs in its first pass.
     """
     if not circuit.is_decomposable():
         raise StructureError("cannot smooth a non-decomposable circuit",
                              validate(circuit, 0))
+    from .layers import _var_rows  # layers imports the kinds from here
     rows = circuit._scope_rows()
     kind, lit, offsets, flat = (circuit.kind, circuit.lit, circuit.offsets,
                                 circuit.flat)
@@ -797,11 +835,28 @@ def smooth(circuit: Circuit) -> Circuit:
     key = np.concatenate([2 * np.arange(n) + 1, np.full(len(new), -2),
                           np.full(g, -1), 2 * parent])
     key[leaf[leaf < n]] = -2
-    return _relabelled(
+    order = np.argsort(key, kind="stable")
+    out = _relabelled(
         kinds, lits, new_offsets,
         np.concatenate([new_flat, leaf.reshape(2, g).T.ravel(), wrap_flat]),
-        np.argsort(key, kind="stable"), circuit.root, circuit.num_vars,
+        order, circuit.root, circuit.num_vars,
         circuit.deterministic_by_construction)
+    # a wrapper is its child AND-ed with gadgets over the variables the
+    # child lacks, so it has its sum's scope and no scope changes elsewhere
+    gadget_rows = _var_rows(gadget_vars - 1, rows.shape[1])
+    out._rows = np.concatenate([rows, gadget_rows[new % g], gadget_rows,
+                                rows[parent]])[order]
+    out._smooth = out._decomposable = True
+    height = circuit._heights
+    if height is not None:
+        wrap_height = 1 + np.maximum(height[flat[edge]], 1)
+        # exact while every wrapper stays below its sum; else Layers walks
+        # the frontier
+        if (wrap_height < height[parent]).all():
+            out._heights = np.concatenate([
+                height, np.zeros(len(new), np.int64), np.ones(g, np.int64),
+                wrap_height])[order]
+    return out
 
 
 def models_to_circuit(models, num_vars: int) -> Circuit:

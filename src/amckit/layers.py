@@ -5,7 +5,10 @@ kind and an arity, split where they would exceed ``GROUP_EDGES`` edges. A
 node's height is its longest path down to a leaf, except that a node of one
 parent edge moves up to just below its parent where nodes of its kind and
 arity already are: any height between the two keeps the order of a pass,
-and joining a group there adds none. Each group holds a
+and joining a group there adds none. The longest-path heights are the
+circuit's ``_heights``: ``parse_d4`` and ``smooth`` hand over the ones they
+know, and otherwise the compile walks the frontier
+(``circuits._frontier_heights``) and keeps them. Each group holds a
 ``(arity, nodes)`` matrix of child ids, so a forward pass is one gather and
 one reduction per group in ascending height. The product groups of one
 arity also form a bucket. A product edge's leave-one-out value reads only
@@ -245,7 +248,10 @@ class Layers:
     have only (height, kind, arity) keys that the longest-path heights
     give; each of the ``buckets`` lists the product groups of one arity in
     that order. ``scatters`` holds
-    ``sat_counts``' OR plans, built on its first call.
+    ``sat_counts``' OR plans, built on its first call. The heights are the
+    circuit's ``_heights`` where its constructor filled them (``parse_d4``
+    by levels of its order, ``smooth`` from its input's); otherwise the
+    frontier pass computes them here and fills the slot.
     """
 
     __slots__ = ("groups", "buckets", "leaf_ids", "leaf_slots", "one_ids",
@@ -256,7 +262,9 @@ class Layers:
         n = circuit.node_count
         arity = np.diff(offsets)
         parent = np.repeat(np.arange(n), arity)  # of each edge in flat
-        height = _frontier_heights(n, parent, flat)
+        height = circuit._heights
+        if height is None:
+            height = circuit._heights = _frontier_heights(n, parent, flat)
 
         inner = np.flatnonzero(arity > 0)
         h, k, a = height[inner], kind[inner], arity[inner]
@@ -555,10 +563,16 @@ def scope_rows(circuit):
     """``(node_count, ceil(num_vars / 64))`` uint64 scopes: bit v-1 of a row
     is set when the node mentions variable v."""
     var = np.abs(circuit.lit[layers_of(circuit).leaf_ids]) - 1
-    bits = np.zeros((len(var), -(-circuit.num_vars // 64)), dtype=np.uint64)
-    bits[np.arange(len(var)), var // 64] = np.left_shift(
+    return _fold(circuit, _var_rows(var, -(-circuit.num_vars // 64)),
+                 np.uint64(0))
+
+
+def _var_rows(var, words):
+    """A ``words``-word uint64 scope row per 0-based variable in ``var``."""
+    rows = np.zeros((len(var), words), dtype=np.uint64)
+    rows[np.arange(len(var)), var // 64] = np.left_shift(
         np.uint64(1), (var % 64).astype(np.uint64))
-    return _fold(circuit, bits, np.uint64(0))
+    return rows
 
 
 def _pack_rows(bits):

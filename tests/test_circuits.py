@@ -18,7 +18,8 @@ from amckit import (And, BernoulliParams, Bottom, Circuit, CircuitBuilder,
                     forward, grad_amc, make_semiring, models_to_circuit,
                     oracle_amc, oracle_grad, parse_d4, parse_weights,
                     prune_unreachable, smooth, validate, write_d4)
-from amckit.circuits import (FALSE, LIT, PROD, SUM, TRUE,
+from amckit import layers, matrix_to_circuit
+from amckit.circuits import (FALSE, LIT, PROD, SUM, TRUE, _frontier_heights,
                              determinism_budget)
 
 from conftest import (cases, labeling, maps_close, random_formula,
@@ -339,6 +340,125 @@ def test_smooth_preserves_amc_all_labelings(rng):
             assert values_close(name, got, want)
             checked += 1
     assert checked >= 20
+
+
+def write_layered_d4(path, width, depth, seed, skip=0.25):
+    """A layered decision-DNNF as a d4 file, shaped as d4 writes one: the
+    or-node of level k has the arcs x_{k+1} and -x_{k+1} to two nodes of
+    level k - 1, the second with probability ``skip`` of level k - 2 (a
+    skip edge, whose child ``smooth`` wraps), over ``width`` literals of
+    x1. The top level is the root alone."""
+    rng = random.Random(seed)
+    nodes, arcs, levels = ["o 1 0", "t 2 0"], [], [[]]
+    for _ in range(width):
+        nodes.append(f"a {len(nodes) + 1} 0")
+        arcs.append(f"{len(nodes)} 2 {rng.choice((1, -1))} 0")
+        levels[0].append(len(nodes))
+    for k in range(1, depth + 1):
+        levels.append([])
+        for _ in range(1 if k == depth else width):
+            if k < depth:
+                nodes.append(f"o {len(nodes) + 1} 0")
+            nid = len(nodes) if k < depth else 1
+            src = levels[k - 2] if k >= 2 and rng.random() < skip \
+                else levels[k - 1]
+            arcs += [f"{nid} {rng.choice(levels[k - 1])} {k + 1} 0",
+                     f"{nid} {rng.choice(src)} {-k - 1} 0"]
+            levels[k].append(nid)
+    path.write_text("\n".join(nodes + arcs) + "\n")
+
+
+def write_dnf_d4(path, cubes, num_vars, seed, keep=1.0):
+    """A DNF of ``cubes`` distinct random cubes as a d4 file: an or-node
+    over and-nodes whose one arc to true carries the cube. Each variable
+    stays in a cube with probability ``keep``, so below 1 the DNF is not
+    smooth; a cube left empty is x1."""
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < cubes:
+        seen.add(tuple(v * rng.choice((1, -1)) for v in range(1, num_vars + 1)
+                       if rng.random() < keep) or (1,))
+    true = cubes + 2
+    nodes = ["o 1 0"] + [f"a {j} 0" for j in range(2, true)] + [f"t {true} 0"]
+    arcs = []
+    for j, cube in enumerate(sorted(seen), start=2):
+        arcs += [f"1 {j} 0", f"{j} {true} {' '.join(map(str, cube))} 0"]
+    path.write_text("\n".join(nodes + arcs) + "\n")
+
+
+def d4_corpus(tmp_path, rng):
+    """d4 files: data/*.nnf; layered decision-DNNFs with skip edges and
+    DNFs, total and partial, written here; random decision circuits and
+    GF(2) embeddings round-tripped through ``write_d4``."""
+    paths = [data_path(name) for name in sorted(os.listdir(DATA))
+             if name.endswith(".nnf")]
+    for i, (width, depth, skip) in enumerate([(1, 3, 0.5), (3, 6, 0.25),
+                                              (6, 12, 0.25), (8, 20, 0.5)]):
+        paths.append(tmp_path / f"layered{i}.nnf")
+        write_layered_d4(paths[-1], width, depth, seed=i, skip=skip)
+    for i, (cubes, nv, keep) in enumerate([(1, 3, 1.0), (12, 6, 1.0),
+                                           (10, 8, 0.6), (30, 40, 0.5)]):
+        paths.append(tmp_path / f"dnf{i}.nnf")
+        write_dnf_d4(paths[-1], cubes, nv, seed=i, keep=keep)
+    for i in range(40):
+        paths.append(tmp_path / f"decision{i}.nnf")
+        raw, _ = random_decision_circuit(rng, range(1, rng.randint(1, 7) + 1))
+        write_d4(raw, paths[-1])
+    for i, n in enumerate([2, 3, 4, 5, 6, 8] * 2):
+        m = np.triu(np.array([[rng.random() < 0.5 for _ in range(n)]
+                              for _ in range(n)], dtype=np.int64))
+        paths.append(tmp_path / f"gf2_{i}.nnf")
+        write_d4(matrix_to_circuit(m | m.T), paths[-1])
+    return paths
+
+
+def frontier_heights(c):
+    """``_frontier_heights`` of the circuit's own arcs."""
+    parent = np.repeat(np.arange(c.node_count), np.diff(c.offsets))
+    return _frontier_heights(c.node_count, parent, c.flat)
+
+
+def fresh_copy(c):
+    """The circuit's arrays in a new ``Circuit``, which knows nothing yet."""
+    return Circuit._from_arrays(c.kind, c.lit, c.offsets, c.flat, c.root,
+                                c.num_vars, c.deterministic_by_construction)
+
+
+def test_parse_and_smooth_hand_over_exact_heights(rng, tmp_path):
+    handed = 0
+    for path in d4_corpus(tmp_path, rng):
+        parsed = parse_d4(path)
+        assert (parsed._heights == frontier_heights(parsed)).all(), path
+        sm = smooth(parsed)
+        if sm._heights is not None:
+            handed += sm is not parsed
+            assert (sm._heights == frontier_heights(sm)).all(), path
+    assert handed >= 10  # smoothed circuits, not only returned ones
+
+
+def test_smooth_hands_over_scope_rows_and_verdicts(rng, tmp_path):
+    smoothed = 0
+    for path in d4_corpus(tmp_path, rng):
+        parsed = parse_d4(path)
+        sm = smooth(parsed)
+        if sm is parsed:
+            continue
+        smoothed += 1
+        assert sm._rows is not None and sm._smooth and sm._decomposable
+        copy = fresh_copy(sm)
+        assert (sm._scope_rows() == copy._scope_rows()).all(), path
+        assert copy.is_smooth() and copy.is_decomposable(), path
+    assert smoothed >= 20
+
+
+def test_smooth_leaves_heights_unknown_where_a_wrapper_reaches_its_sum():
+    # the sum x1 or (-x1 and x2) has height 2; the wrapper x1 and (x2 or
+    # -x2) has height 2 too, so the sum grows to 3 and the root to 4. The
+    # compile walks the frontier instead
+    sm = smooth(parse_d4(data_path("example2.nnf")))
+    assert sm._heights is None
+    layers.layers_of(sm)
+    assert (sm._heights == frontier_heights(sm)).all()
 
 
 def test_validate_example2():

@@ -19,14 +19,16 @@ from hypothesis import HealthCheck, given, settings
 
 from amckit import (Circuit, CircuitBuilder, DualValue, LiteralMap, Polynomial,
                     Semiring, backward_cancel, backward_dynamic, backward_naive,
-                    backward_optimized, forward, layers, learning,
-                    literal_order, make_semiring, smooth)
+                    backward_optimized, circuits, default_labels, forward,
+                    grad_amc, layers, learning, literal_order, make_semiring,
+                    parse_d4, smooth, structural_gate)
 from amckit.backprop import VARIANTS
 from amckit.circuits import (LIT, PROD, SUM, _frontier_heights,
                              models_to_circuit)
 
 from conftest import PythonLoop, cases, labeling
-from test_circuits import random_decision_circuit
+from test_circuits import (d4_corpus, fresh_copy, random_decision_circuit,
+                           write_layered_d4)
 
 ARRAY_SEMIRINGS = ("bool", "prob", "log", "viterbi", "tropical", "fuzzy",
                    "grad", "gf2")
@@ -367,6 +369,44 @@ def test_leveling_lifts_a_node_of_one_parent_where_its_key_is():
         forward(c, labels, PythonLoop(prob), check=False).root_value
     assert same_maps("prob", backward_optimized(c, tape, prob),
                      backward_naive(c, tape, prob), SAME_AS_REFERENCE)
+
+
+def compiled(c):
+    return [(g.height, g.kind, g.ids.tolist(), g.children.tolist())
+            for g in layers.layers_of(c).groups]
+
+
+def test_handed_over_heights_compile_the_groups_of_a_fresh_copy(rng,
+                                                                 tmp_path):
+    for path in d4_corpus(tmp_path, rng):
+        parsed = parse_d4(path)
+        both = [parsed, smooth(parsed)] if parsed.is_decomposable() \
+            else [parsed]
+        for c in both:
+            assert compiled(c) == compiled(fresh_copy(c)), path
+
+
+def test_set_up_walks_the_frontier_once(monkeypatch, tmp_path):
+    # parse_d4 walks the file's graph once, for its order and the cycle
+    # check; the parsed and the smoothed circuit's compiles and the gate
+    # take the heights and scopes handed to them
+    walks = []
+
+    def counted(*args):
+        walks.append(args[0])
+        return _frontier_heights(*args)
+
+    monkeypatch.setattr(circuits, "_frontier_heights", counted)
+    monkeypatch.setattr(layers, "_frontier_heights", counted)
+    path = tmp_path / "layered.nnf"
+    write_layered_d4(path, 8, 12, seed=2)
+    prob = make_semiring("prob")
+    parsed = parse_d4(path)
+    c = smooth(parsed)
+    structural_gate(c, prob)
+    grad_amc(c, default_labels(prob, c.num_vars), prob)
+    assert c.node_count > parsed.node_count  # skip edges were wrapped
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("arity", [2, 5])
