@@ -6,8 +6,8 @@ pass never reads an uncomputed value. Child lists keep order and multiplicity.
 
 Parsing, pruning, smoothing and the scope checks are numpy passes over the
 circuit's CSR arrays; where an order matters they go one frontier of nodes
-at a time (``_frontier_heights``, ``_reachable``). ``CircuitBuilder`` and
-``write_d4`` stay Python.
+at a time (``_frontier_heights``, ``_reachable``), or one level of an order
+already known (``_level``). ``CircuitBuilder`` and ``write_d4`` stay Python.
 """
 
 from __future__ import annotations
@@ -477,9 +477,9 @@ def parse_d4(path) -> Circuit:
     ``ParseError``, and cycles are looked for once every line has passed.
     The one frontier pass (``_frontier_heights``) runs on the file's graph,
     for the order and the cycle check. The circuit's own heights, which
-    ``layers.Layers`` groups by, follow from that order in one
-    ``maximum.reduceat`` per level (``_leveled_heights``) and are handed
-    to it, so its compile walks no frontier.
+    ``layers.Layers`` groups by, and its scope rows follow from that order
+    in one pass over its levels (``_level``), so neither its compile nor
+    its scope checks walk a frontier or fold the groups.
     """
     kind, ids, parent, child, at, m, lits = _d4_graph(path)
     height = _frontier_heights(len(ids), parent, child)
@@ -498,25 +498,37 @@ def parse_d4(path) -> Circuit:
     order = order[np.argsort(key[order], kind="stable")]
     circuit = _relabelled(kinds, lit, offsets, flat, order, root,
                           int(np.abs(lits).max(initial=0)), True)
-    circuit._heights = _leveled_heights(circuit.offsets, circuit.flat,
-                                        key[order])
+    _level(circuit, key[order])
     return circuit
 
 
-def _leveled_heights(offsets, flat, key):
-    """Longest path from each node down to a leaf, given ascending ``key``s
-    under which every child lies below its parent and the leaves are the
-    nodes of the lowest key. The nodes of one key, and so their children
-    in ``flat``, are contiguous: each key is one ``maximum.reduceat`` over
-    the heights of the keys below it."""
+def _level(circuit, key):
+    """Fill the circuit's ``_heights`` (longest paths down to a leaf) and
+    ``_rows`` (its scope rows) from ascending ``key``s under which every
+    child lies below its parent and the leaves are the nodes of the lowest
+    key. The nodes of one key, and so their children in ``flat``, are
+    contiguous: each key is one ``maximum.reduceat`` over the heights and
+    one ``bitwise_or.reduceat`` over the rows of the keys below it. A key
+    is cut every ``GROUP_EDGES`` edges as well, which bounds the gathers as
+    the compiled groups bound a pass's."""
+    # layers imports the kinds from here
+    from .layers import GROUP_EDGES, _var_rows
+    offsets, flat = circuit.offsets, circuit.flat
     height = np.zeros(len(key), dtype=np.int64)
-    bounds = (np.flatnonzero(np.diff(key)) + 1).tolist()
+    rows = np.zeros((len(key), -(-circuit.num_vars // 64)), dtype=np.uint64)
+    leaves = np.flatnonzero(circuit.kind == LIT)
+    rows[leaves] = _var_rows(np.abs(circuit.lit[leaves]) - 1, rows.shape[1])
+    cut = (np.diff(key) != 0) | (np.diff(offsets[:-1] // GROUP_EDGES) != 0)
+    bounds = (np.flatnonzero(cut) + 1).tolist()
     for lo, hi in zip(bounds, bounds[1:] + [len(key)]):
         a, b = offsets[lo], offsets[hi]
-        height[lo:hi] = np.maximum.reduceat(height[flat[a:b]],
-                                            offsets[lo:hi] - a)
+        at = offsets[lo:hi] - a
+        height[lo:hi] = np.maximum.reduceat(height[flat[a:b]], at)
         height[lo:hi] += 1
-    return height
+        # take gathers whole rows faster than fancy indexing does
+        rows[lo:hi] = np.bitwise_or.reduceat(rows.take(flat[a:b], axis=0), at,
+                                             axis=0)
+    circuit._heights, circuit._rows = height, rows
 
 
 def _d4_graph(path):
@@ -777,22 +789,18 @@ def smooth(circuit: Circuit) -> Circuit:
     (sum, child) edge are read from the packed scope rows, and the nodes
     are relabelled once; a circuit that misses nothing is returned as is.
 
-    The result starts out knowing what smoothing made it: its scope rows
-    (a gadget and a leaf made for it carry their variable, a wrapper its
-    sum's row, every other node its own), that it is smooth and
-    decomposable, and its heights for ``layers.Layers``. A gadget has
-    height 1 and a wrapper over child ``c`` height ``1 + max(h(c), 1)``;
-    the other nodes keep the input's heights, which stay exact while every
-    wrapper is below its sum. Where one is not, or the input's heights are
-    unknown, the compile walks the frontier itself. So the gate folds no
-    scopes and compiles nothing above the determinism budget: the
-    result's compile runs in its first pass.
+    The result is ordered by levels of the input's heights: the leaves,
+    the gadgets, then the nodes of each height with that height's wrappers
+    together just below them. One pass over those levels (``_level``)
+    fills its heights and scope rows, and it is known to be smooth and
+    decomposable. So the gate folds no scopes and compiles nothing above
+    the determinism budget: the result's compile runs in its first pass.
     """
     if not circuit.is_decomposable():
         raise StructureError("cannot smooth a non-decomposable circuit",
                              validate(circuit, 0))
-    from .layers import _var_rows  # layers imports the kinds from here
     rows = circuit._scope_rows()
+    height = circuit._heights  # filled with the rows, or by their compile
     kind, lit, offsets, flat = (circuit.kind, circuit.lit, circuit.offsets,
                                 circuit.flat)
     n = circuit.node_count
@@ -830,32 +838,19 @@ def smooth(circuit: Circuit) -> Circuit:
                             np.full(g, 2), np.bincount(owner)])
     new_offsets = np.zeros(len(kinds) + 1, dtype=np.int64)
     np.cumsum(arity, out=new_offsets[1:])
-    # the gadgets' leaves first, then the gadgets, then the nodes in order
-    # with each wrapper just before its sum
-    key = np.concatenate([2 * np.arange(n) + 1, np.full(len(new), -2),
-                          np.full(g, -1), 2 * parent])
-    key[leaf[leaf < n]] = -2
+    # the leaves, the gadgets, then each height h at 2h + 1 above its
+    # wrappers at 2h: a wrapper's child lies below its sum
+    key = np.concatenate([np.where(height > 0, 2 * height + 1, 0),
+                          np.zeros(len(new), np.int64), np.ones(g, np.int64),
+                          2 * height[parent]])
     order = np.argsort(key, kind="stable")
     out = _relabelled(
         kinds, lits, new_offsets,
         np.concatenate([new_flat, leaf.reshape(2, g).T.ravel(), wrap_flat]),
         order, circuit.root, circuit.num_vars,
         circuit.deterministic_by_construction)
-    # a wrapper is its child AND-ed with gadgets over the variables the
-    # child lacks, so it has its sum's scope and no scope changes elsewhere
-    gadget_rows = _var_rows(gadget_vars - 1, rows.shape[1])
-    out._rows = np.concatenate([rows, gadget_rows[new % g], gadget_rows,
-                                rows[parent]])[order]
+    _level(out, key[order])
     out._smooth = out._decomposable = True
-    height = circuit._heights
-    if height is not None:
-        wrap_height = 1 + np.maximum(height[flat[edge]], 1)
-        # exact while every wrapper stays below its sum; else Layers walks
-        # the frontier
-        if (wrap_height < height[parent]).all():
-            out._heights = np.concatenate([
-                height, np.zeros(len(new), np.int64), np.ones(g, np.int64),
-                wrap_height])[order]
     return out
 
 

@@ -96,11 +96,13 @@ def _cmd_oracle(args, out):
 
 
 def _cmd_bench(args, out):
+    # every circuit is smoothed (a smooth one is kept as is), so d4 output
+    # runs; one that does not parse or smooth is an error row of a suite
     semiring = make_semiring(args.semiring)
     variants = [v.strip() for v in args.algos.split(",") if v.strip()]
     named = []
     if args.circuit:
-        named.append((args.circuit, parse_d4(args.circuit)))
+        named.append((args.circuit, smooth(parse_d4(args.circuit))))
     else:
         import glob
         import os
@@ -109,7 +111,7 @@ def _cmd_bench(args, out):
             raise ConfigError(f"no .nnf files under {args.suite!r}")
         for path in paths:
             try:
-                named.append((os.path.basename(path), parse_d4(path)))
+                named.append((os.path.basename(path), smooth(parse_d4(path))))
             except AmckitError as exc:
                 named.append((os.path.basename(path), exc))
     records = bench_mod.run_suite(

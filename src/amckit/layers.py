@@ -6,8 +6,9 @@ node's height is its longest path down to a leaf, except that a node of one
 parent edge moves up to just below its parent where nodes of its kind and
 arity already are: any height between the two keeps the order of a pass,
 and joining a group there adds none. The longest-path heights are the
-circuit's ``_heights``: ``parse_d4`` and ``smooth`` hand over the ones they
-know, and otherwise the compile walks the frontier
+circuit's ``_heights``: ``parse_d4`` and ``smooth`` fill them with its scope
+rows in one pass over the levels they order their nodes by
+(``circuits._level``), and otherwise the compile walks the frontier
 (``circuits._frontier_heights``) and keeps them. Each group holds a
 ``(arity, nodes)`` matrix of child ids, so a forward pass is one gather and
 one reduction per group in ascending height. The product groups of one
@@ -249,9 +250,10 @@ class Layers:
     give; each of the ``buckets`` lists the product groups of one arity in
     that order. ``scatters`` holds
     ``sat_counts``' OR plans, built on its first call. The heights are the
-    circuit's ``_heights`` where its constructor filled them (``parse_d4``
-    by levels of its order, ``smooth`` from its input's); otherwise the
-    frontier pass computes them here and fills the slot.
+    circuit's ``_heights`` where ``parse_d4`` or ``smooth`` filled them in
+    their level pass; for any other circuit (from ``CircuitBuilder``,
+    ``Circuit(...)`` or ``prune_unreachable``) the frontier pass computes
+    them here and fills the slot.
     """
 
     __slots__ = ("groups", "buckets", "leaf_ids", "leaf_slots", "one_ids",

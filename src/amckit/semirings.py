@@ -303,7 +303,7 @@ def _bool_pair(p):
 
 def _nonneg_token(what, number, token):
     w = number(token)
-    if w < 0:
+    if not w >= 0:  # NaN too
         raise ValueError(f"{what} must be non-negative, got {w!r}")
     return w
 

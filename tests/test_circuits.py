@@ -185,6 +185,36 @@ def test_parse_weights_errors(tmp_path):
         parse_weights(str(toolarge), fuzzy)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("v 1\n", "expected '<v|l> <id> <value>'"),
+    ("v 1 x\n", "could not convert string to float: 'x'"),
+    ("l 2 x\n", "could not convert string to float: 'x'"),
+    ("v 0 0.5\n", "bad variable 0"),
+    ("v -2 0.5\n", "bad variable -2"),
+    ("l 0 0.5\n", "literal 0"),
+    ("w 1 0.5\n", "unknown line tag 'w'"),
+], ids=["fields", "v-value", "l-value", "var-0", "var-negative", "literal-0",
+        "tag"])
+def test_parse_weights_refuses_malformed_lines(tmp_path, text, message):
+    path = tmp_path / "bad.w"
+    path.write_text("# one comment line\n" + text)
+    with pytest.raises(ParseError) as exc:
+        parse_weights(str(path), make_semiring("prob"))
+    assert str(exc.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize("name, what", [
+    ("prob", "prob weight"), ("log", "log-semiring weight"),
+    ("viterbi", "viterbi weight"), ("tropical", "tropical weight")])
+def test_parse_weights_refuses_nan(tmp_path, name, what):
+    # NaN fails every comparison, so a test of w < 0 let it through
+    path = tmp_path / "nan.w"
+    path.write_text("l 1 nan\n")
+    with pytest.raises(ParseError) as exc:
+        parse_weights(str(path), make_semiring(name))
+    assert str(exc.value) == f"{path}:1: {what} must be non-negative, got nan"
+
+
 def test_literal_map_keeps_canonical_order():
     values = ["x1", "x2", "x3", "-x1", "-x2", "-x3"]
     m = LiteralMap.from_order(3, "fill", values)
@@ -430,9 +460,8 @@ def test_parse_and_smooth_hand_over_exact_heights(rng, tmp_path):
         parsed = parse_d4(path)
         assert (parsed._heights == frontier_heights(parsed)).all(), path
         sm = smooth(parsed)
-        if sm._heights is not None:
-            handed += sm is not parsed
-            assert (sm._heights == frontier_heights(sm)).all(), path
+        handed += sm is not parsed
+        assert (sm._heights == frontier_heights(sm)).all(), path
     assert handed >= 10  # smoothed circuits, not only returned ones
 
 
@@ -451,14 +480,38 @@ def test_smooth_hands_over_scope_rows_and_verdicts(rng, tmp_path):
     assert smoothed >= 20
 
 
-def test_smooth_leaves_heights_unknown_where_a_wrapper_reaches_its_sum():
+@pytest.mark.parametrize("group_edges", [layers.GROUP_EDGES, 3])
+def test_parse_and_smooth_level_heights_and_scope_rows(monkeypatch, rng,
+                                                       tmp_path, group_edges):
+    # every circuit parse_d4 or smooth returns, against the frontier and
+    # the groups' fold on a copy that knows nothing. smooth's inputs also
+    # come from CircuitBuilder, whose heights their compile gives; one has
+    # a childless product and a sum of one child. With 3 edges a level is
+    # cut into many slices
+    monkeypatch.setattr(layers, "GROUP_EDGES", group_edges)
+    b = CircuitBuilder()
+    x1, x2 = b.literal(1), b.literal(2)
+    both = b.product([x1, b._append(SUM, 0, (x2,)), b._append(PROD, 0, ())])
+    built = [b.build(b.sum([both, b.literal(-1)]))]
+    built += [random_decision_circuit(rng, range(1, 7))[0] for _ in range(20)]
+    out = [smooth(c) for c in built]
+    assert sum(sm is not c for sm, c in zip(out, built)) >= 10
+    for path in d4_corpus(tmp_path, rng):
+        parsed = parse_d4(path)
+        out.append(parsed)
+        if parsed.is_decomposable():
+            out.append(smooth(parsed))
+    for c in out:
+        assert (c._heights == frontier_heights(c)).all(), c
+        assert (c._rows == layers.scope_rows(fresh_copy(c))).all(), c
+
+
+def test_smooth_hands_over_exact_heights_where_a_wrapper_reaches_its_sum():
     # the sum x1 or (-x1 and x2) has height 2; the wrapper x1 and (x2 or
-    # -x2) has height 2 too, so the sum grows to 3 and the root to 4. The
-    # compile walks the frontier instead
+    # -x2) has height 2 too, so the sum grows to 3 and the root to 4
     sm = smooth(parse_d4(data_path("example2.nnf")))
-    assert sm._heights is None
-    layers.layers_of(sm)
     assert (sm._heights == frontier_heights(sm)).all()
+    assert sm._heights[sm.root] == 4
 
 
 def test_validate_example2():
@@ -554,6 +607,48 @@ def test_topological_contract_enforced():
     with pytest.raises(ValueError):
         Circuit(kinds=[SUM, LIT], lits=[0, 1], children=[(1,), ()],
                 root=0, num_vars=1)
+
+
+@pytest.mark.parametrize("args, message", [
+    (([LIT], [1, 2], [()], 0, 2), "node arrays must have equal length"),
+    (([], [], [], 0, 0), "circuit must have at least one node"),
+    (([LIT], [1], [()], 1, 1), "root 1 out of range"),
+    (([LIT], [1], [()], -1, 1), "root -1 out of range"),
+    (([LIT, 5], [1, 0], [(), (0,)], 1, 1), "node 1: unknown kind"),
+    (([TRUE, LIT], [0, 0], [(), ()], 1, 1), "node 1: literal 0"),
+    (([LIT, FALSE], [1, 0], [(), (0,)], 1, 1), "node 1: leaf with children"),
+    (([LIT, LIT], [1, -3], [(), ()], 1, 2), "num_vars 2 below mentioned 3"),
+], ids=["lengths", "empty", "root-high", "root-negative", "kind", "literal-0",
+        "leaf-children", "num-vars"])
+def test_circuit_refuses_malformed_arrays(args, message):
+    with pytest.raises(ValueError) as exc:
+        Circuit(*args)
+    assert str(exc.value) == message
+
+
+def test_builders_refuse_literal_0_and_partial_models():
+    with pytest.raises(ValueError, match="^literal 0$"):
+        CircuitBuilder().literal(0)
+    with pytest.raises(ValueError, match="^model misses variable 2$"):
+        models_to_circuit([[1, 2, 3], [-1, -3]], 3)
+
+
+@pytest.mark.parametrize("text, kinds, lits, children", [
+    # or -> or -> and, whose arc to true carries x1 and x2
+    ("o 1 0\no 2 0\na 3 0\nt 4 0\n1 2 0\n2 3 0\n3 4 1 2 0\n",
+     [LIT, LIT, PROD], [1, 2, 0], [(), (), (0, 1)]),
+    # or -> and -> or -> and, whose one arc to true carries -x1
+    ("o 1 0\na 2 0\no 3 0\na 4 0\nt 5 0\n1 2 0\n2 3 0\n3 4 0\n"
+     "4 5 -1 0\n", [LIT], [-1], [()]),
+], ids=["to-product", "to-leaf"])
+def test_parse_follows_chains_of_one_part_nodes(tmp_path, text, kinds, lits,
+                                                children):
+    # each node of one part is that part, through a chain of them
+    path = tmp_path / "chain.nnf"
+    path.write_text(text)
+    c = parse_d4(path)
+    assert (c.kinds, c.lits, c.children) == (kinds, lits, children)
+    assert c.root == len(kinds) - 1
 
 
 def test_duplicate_children_preserved():

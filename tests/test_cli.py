@@ -398,3 +398,53 @@ def test_cli_module_entry_point():
     )
     assert result.returncode == 0
     assert abs(float(result.stdout.strip()) - 0.44) < 1e-12
+
+
+def test_bench_smooths_the_circuits_it_loads(capsys, tmp_path):
+    # d4 output need not be smooth, as example2.nnf is not; a file that
+    # cannot be smoothed is one error row, as one that does not parse
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "example2.nnf").write_text(open(data_path("example2.nnf")).read())
+    (suite / "shared.nnf").write_text("a 1 0\nt 2 0\n1 2 1 0\n1 2 1 0\n")
+    code, out, _ = run_cli(capsys, "bench", "--suite", str(suite),
+                           "--algos", "opt,cancel", "--repeat", "2",
+                           "--warmup", "0")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    timed = [r for r in rows if r[0] == "example2.nnf"]
+    assert len(timed) == 4 and all(r[-1] == "" for r in timed)
+    # n and e are the smoothed circuit's
+    assert {(r[1], r[2]) for r in timed} == {("10", "10")}
+    assert [r[0] for r in rows if r[-1]] == ["shared.nnf"]
+    assert rows[-1][-1] == "cannot smooth a non-decomposable circuit"
+
+
+def test_bench_measure_keeps_a_failing_variant_as_an_error_row():
+    circuit = parse_d4(data_path("example2_smooth.nnf"))
+    fuzzy = make_semiring("fuzzy")
+    cancel, opt = measure("c", circuit, default_labels(fuzzy, circuit.num_vars),
+                          fuzzy, ["cancel", "opt"], repeat=1, warmup=0)
+    assert (cancel.variant, cancel.backward_ms, cancel.peak_aux_bytes) == (
+        "cancel", 0.0, 0)
+    assert cancel.error == ("semiring 'fuzzy' provides no division; use the "
+                            "dynamic or naive variant")
+    assert (opt.variant, opt.error) == ("opt", "")
+
+
+def test_bench_refuses_a_suite_without_nnf_files(capsys, tmp_path):
+    (tmp_path / "notes.txt").write_text("no circuits here\n")
+    code, out, err = run_cli(capsys, "bench", "--suite", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: no .nnf files under {str(tmp_path)!r}\n"
+
+
+def test_nan_weight_is_a_parse_error(capsys, tmp_path):
+    weights = tmp_path / "nan.w"
+    weights.write_text("l 1 nan\n")
+    code, out, err = run_cli(capsys, "amc", "--circuit",
+                             data_path("example2.nnf"), "--weights",
+                             str(weights), "--semiring", "log", "--smooth")
+    assert (code, out) == (3, "")
+    assert err == (f"error: {weights}:1: log-semiring weight must be "
+                   "non-negative, got nan\n")

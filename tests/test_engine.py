@@ -27,8 +27,8 @@ from amckit.circuits import (LIT, PROD, SUM, _frontier_heights,
                              models_to_circuit)
 
 from conftest import PythonLoop, cases, labeling
-from test_circuits import (d4_corpus, fresh_copy, random_decision_circuit,
-                           write_layered_d4)
+from test_circuits import (d4_corpus, data_path, fresh_copy,
+                           random_decision_circuit, write_layered_d4)
 
 ARRAY_SEMIRINGS = ("bool", "prob", "log", "viterbi", "tropical", "fuzzy",
                    "grad", "gf2")
@@ -407,6 +407,44 @@ def test_set_up_walks_the_frontier_once(monkeypatch, tmp_path):
     grad_amc(c, default_labels(prob, c.num_vars), prob)
     assert c.node_count > parsed.node_count  # skip edges were wrapped
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("name", ["layered.nnf", "example2.nnf"])
+def test_set_up_compiles_only_the_smoothed_circuit(monkeypatch, tmp_path,
+                                                   name):
+    # parse_d4 and smooth hand their circuits heights and scope rows: the
+    # parsed circuit is never compiled, and the one frontier walk is
+    # parse_d4's over the file's graph
+    walks, compiles = [], []
+
+    def counted(*args):
+        walks.append(args[0])
+        return _frontier_heights(*args)
+
+    class Counted(layers.Layers):
+        __slots__ = ()
+
+        def __init__(self, circuit):
+            compiles.append(circuit)
+            super().__init__(circuit)
+
+    monkeypatch.setattr(circuits, "_frontier_heights", counted)
+    monkeypatch.setattr(layers, "_frontier_heights", counted)
+    monkeypatch.setattr(layers, "Layers", Counted)
+    path = data_path(name)
+    if name == "layered.nnf":
+        path = tmp_path / name
+        write_layered_d4(path, 8, 12, seed=2)
+    with open(path) as fh:
+        declared = sum(line[0] in "oatf" for line in fh)
+    prob = make_semiring("prob")
+    parsed = parse_d4(path)
+    c = smooth(parsed)
+    structural_gate(c, prob)
+    grad_amc(c, default_labels(prob, c.num_vars), prob)
+    assert c is not parsed
+    assert compiles == [c]
+    assert walks == [declared]
 
 
 @pytest.mark.parametrize("arity", [2, 5])

@@ -162,3 +162,18 @@ def test_read_dimacs_errors(tmp_path):
     bad.write_text("p cnf 2 1\n1 3 0\n")
     with pytest.raises(ParseError):
         read_dimacs(str(bad))
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("1 2 0\np cnf 2 1\n", 1, "clause before header"),
+    ("p cnf 2 1\n1 x 0\n", 2, "non-integer token"),
+    ("c no header\n", 1, "missing DIMACS header"),
+    ("p cnf 2 2\n1 2 0\n", 1, "header declares 2 clauses, found 1"),
+], ids=["before-header", "token", "no-header", "clause-count"])
+def test_read_dimacs_refusals(tmp_path, text, line, message):
+    from amckit import ParseError
+    path = tmp_path / "bad.cnf"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        read_dimacs(str(path))
+    assert str(exc.value) == f"{path}:{line}: {message}"

@@ -386,3 +386,56 @@ def test_bernoulli_labels_are_the_weight_file_encodings(rng, tmp_path):
     for name, labels in (("prob", params.prob_labels()),
                          ("log", params.log_labels())):
         assert labels == parse_weights(str(path), make_semiring(name)), name
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c: BernoulliParams([0.5, 1.5]), "probability 1.5 outside [0, 1]"),
+    (lambda c: BernoulliParams([-0.25]), "probability -0.25 outside [0, 1]"),
+    (lambda c: BernoulliParams([math.nan]), "probability nan outside [0, 1]"),
+    (lambda c: em_conditionals(c, BernoulliParams([0.5, 0.5])),
+     "params cover 2 variables, circuit mentions 3"),
+    (lambda c: hessian_row(c, EXAMPLE_PARAMS, 4),
+     "literal 4 outside the circuit's variables"),
+    (lambda c: hessian_row(c, EXAMPLE_PARAMS, -4),
+     "literal -4 outside the circuit's variables"),
+    (lambda c: hessian_row(c, EXAMPLE_PARAMS, 0),
+     "literal 0 outside the circuit's variables"),
+], ids=["above-1", "below-0", "nan", "too-few", "hessian-high",
+        "hessian-low", "hessian-0"])
+def test_learning_refuses_params_and_literals_out_of_range(example2_smooth,
+                                                           call, message):
+    with pytest.raises(ValueError) as exc:
+        call(example2_smooth)
+    assert str(exc.value) == message
+
+
+SYMMETRIC = [[0, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: matrix_to_circuit([[0, 1, 0], [1, 0, 1]]), "matrix must be square"),
+    (lambda: matrix_to_circuit([0, 1]), "matrix must be square"),
+    (lambda: matrix_to_circuit([[1]]), "matrix must be at least 2x2"),
+    (lambda: matrix_to_circuit([[0, 2], [2, 0]]),
+     "matrix entries must be bits"),
+    (lambda: matrix_to_circuit([[0, 1], [0, 0]]),
+     "matrix must be symmetric: entry (i, j) and (j, i) share their unique "
+     "model"),
+    (lambda: matrix_vec_to_circuit([[0, 1]], [1]), "matrix must be square"),
+    (lambda: matrix_vec_to_circuit([[0, -1], [-1, 0]], [1, 0]),
+     "matrix entries must be bits"),
+    (lambda: matrix_vec_to_circuit([[0, 1], [0, 0]], [1, 0]),
+     "matrix must be symmetric"),
+    (lambda: matrix_vec_to_circuit(SYMMETRIC, [1, 0, 1]),
+     "vector length must match the matrix size"),
+    (lambda: matrix_vec_to_circuit(SYMMETRIC, [[1, 0]]),
+     "vector length must match the matrix size"),
+    (lambda: matrix_vec_to_circuit(SYMMETRIC, [1, 2]),
+     "vector entries must be bits"),
+], ids=["rows", "vector", "1x1", "bits", "symmetric", "vec-square",
+        "vec-bits", "vec-symmetric", "vec-length", "vec-shape",
+        "vec-entries"])
+def test_matrix_embeddings_refuse_bad_input(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
