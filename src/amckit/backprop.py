@@ -29,12 +29,12 @@ one thread.
 
 With ``stats=`` a pass reports ``divisions`` and ``ordered_hits`` per child,
 ``fallbacks`` per child for recomputation and per node for cumulative
-products, and ``aux_slots``/``peak_aux_bytes`` for the adjoints plus the
+products, and ``peak_aux_bytes``: 8 bytes for each adjoint and slot of the
 variant's leave-one-out buffers (none for recomputation, one of max arity
-for ``dynamic``, and two of max arity for ``opt``). These counts are the
-model of a sequential pass: on the arrays a pass holds instead one
-leave-one-out value per product edge, computed in runs of at most
-``layers.GROUP_EDGES`` edges, which bound its temporaries.
+for ``dynamic``, and two of max arity for ``opt``). That models a sequential
+pass. On the arrays a pass holds instead the adjoints and, per product
+arity, one run of at most ``layers.GROUP_EDGES`` leave-one-out values and
+its temporaries; the README gives the measured peaks.
 
 Thread safety: evaluations over the same immutable circuit may run in
 parallel threads, each with its own tape. The circuit's compiled layers are
@@ -133,9 +133,7 @@ def forward(circuit: Circuit, labels: LiteralMap, semiring, *,
 def _note_stats(stats, circuit, extra_slots, **counts):
     if stats is None:
         return
-    slots = circuit.node_count + extra_slots
-    stats["aux_slots"] = slots
-    stats["peak_aux_bytes"] = 8 * slots
+    stats["peak_aux_bytes"] = 8 * (circuit.node_count + extra_slots)
     for key, val in counts.items():
         stats[key] = val
 

@@ -12,18 +12,18 @@ rows in one pass over the levels they order their nodes by
 (``circuits._frontier_heights``) and keeps them. Each group holds a
 ``(arity, nodes)`` matrix of child ids, so a forward pass is one gather and
 one reduction per group in ascending height. The product groups of one
-arity also form a bucket. A product edge's leave-one-out value reads only
-forward values, so the backward pass first computes all of them, a bucket
-at a time, with consecutive groups joined into runs of up to
-``GROUP_EDGES`` edges. It then walks the groups top-down with one gather of
-adjoints, for a product group one multiply by its leave-one-out values, and
-one ``ufunc.at`` scatter into the adjoints, and folds leaves per literal.
-The scatter goes through the group's child matrix as one flat row of edges
-(``Group.flat``), in the matrix's order, so adjoints add up in the same
-order as through the matrix: ``ufunc.at`` has a fast path (numpy 1.25 and
-later) for a 1-D index only, several times faster for ``add`` and
-``maximum``.
-The compiled groups and buckets are cached on the immutable circuit. (After
+arity are also joined, in that order, into runs of up to ``GROUP_EDGES``
+edges. The backward pass is one walk down the groups: a gather of adjoints
+per group, for a product group a multiply by its leave-one-out values, and
+a ``ufunc.at`` scatter into the adjoints; then leaves fold per literal. A
+leave-one-out value reads only forward values, so the walk computes a
+run's all at once on reaching the run's last group, and drops them after
+its first: an arity holds one run at a time. The scatter goes through the
+group's child matrix as one flat row of edges (``Group.flat``), in the
+matrix's order, so adjoints add up in the same order as through the matrix:
+``ufunc.at`` has a fast path (numpy 1.25 and later) for a 1-D index only,
+several times faster for ``add`` and ``maximum``.
+The compiled groups are cached on the immutable circuit. (After
 Maene, Derkinderen & Zuidberg Dos Martires, *KLay: Accelerating Arithmetic
 Circuits for Neurosymbolic AI*, ICLR 2025.)
 
@@ -229,9 +229,11 @@ class Group:
 
     ``flat`` is the matrix as one row of edges, a view, and ``parents`` a
     sum group's parent per edge in that order (``None`` for products).
+    ``run`` is, on the last product group of a run, the positions of the
+    run's groups in ``Layers.groups``, and ``None`` on every other group.
     """
 
-    __slots__ = ("height", "kind", "ids", "children", "flat", "parents")
+    __slots__ = ("height", "kind", "ids", "children", "flat", "parents", "run")
 
     def __init__(self, height, kind, ids, children, parents):
         self.height = height
@@ -240,6 +242,7 @@ class Group:
         self.children = children  # (arity, len(ids)) node ids
         self.flat = children.ravel()
         self.parents = parents
+        self.run = None  # positions, not groups: no group refers to itself
 
 
 class Layers:
@@ -247,8 +250,9 @@ class Layers:
 
     ``groups`` run in ascending height, each child below its parent, and
     have only (height, kind, arity) keys that the longest-path heights
-    give; each of the ``buckets`` lists the product groups of one arity in
-    that order. ``scatters`` holds
+    give. The product groups of one arity are joined, in that order, into
+    runs of at most ``GROUP_EDGES`` edges (or a group alone), each held by
+    its last group (``Group.run``). ``scatters`` holds
     ``sat_counts``' OR plans, built on its first call. The heights are the
     circuit's ``_heights`` where ``parse_d4`` or ``smooth`` filled them in
     their level pass; for any other circuit (from ``CircuitBuilder``,
@@ -256,8 +260,7 @@ class Layers:
     them here and fills the slot.
     """
 
-    __slots__ = ("groups", "buckets", "leaf_ids", "leaf_slots", "one_ids",
-                 "scatters")
+    __slots__ = ("groups", "leaf_ids", "leaf_slots", "one_ids", "scatters")
 
     def __init__(self, circuit):
         kind, offsets, flat = circuit.kind, circuit.offsets, circuit.flat
@@ -287,7 +290,7 @@ class Layers:
         cut = np.flatnonzero((np.diff(h) != 0) | (np.diff(k) != 0)
                              | (np.diff(a) != 0)) + 1
         bounds = [0, *cut.tolist(), len(inner)] if inner.size else [0]
-        self.groups, buckets = [], {}
+        self.groups, runs = [], {}  # arity -> its open run and run edges
         for start, stop in zip(bounds, bounds[1:]):
             m, kd, ht = int(a[start]), int(k[start]), int(h[start])
             step = max(1, GROUP_EDGES // m)
@@ -297,8 +300,14 @@ class Layers:
                 parents = parent[slots].ravel() if kd == SUM else None
                 self.groups.append(Group(ht, kd, ids, flat[slots], parents))
                 if kd == PROD:
-                    buckets.setdefault(m, []).append(self.groups[-1])
-        self.buckets = list(buckets.values())
+                    run, edges = runs.get(m, ([], 0))
+                    if run and edges + slots.size > GROUP_EDGES:
+                        self.groups[run[-1]].run = run
+                        run, edges = [], 0
+                    run.append(len(self.groups) - 1)
+                    runs[m] = run, edges + slots.size
+        for run, _ in runs.values():
+            self.groups[run[-1]].run = run
 
         self.leaf_ids = np.flatnonzero(kind == LIT)
         nv = circuit.num_vars
@@ -339,94 +348,86 @@ def forward(circuit, labels, ops):
 def backward_opt(circuit, values, semiring, ops, recompute=False):
     """The ``opt`` backward pass on arrays, and with ``recompute`` ``cancel``.
 
-    First the leave-one-out product of every product edge, per bucket of
-    one arity in runs of consecutive groups of at most ``GROUP_EDGES``
-    edges (``_runs``), kept until the walk reaches the group. Per child it
-    is the node value divided by the child where the child is cancellative
-    (``ops.refused``) and the node did not underflow; else with
-    ``recompute`` its siblings' product (``_recomputed_loo``); else under
-    fully ordered multiplication the node value, or the second extremal
-    child for a unique extremal one (a top-2 scan by ``mul``); else the
-    node's cumulative prefix/suffix products. The top-down walk then
-    gathers each group's adjoints, multiplies a product group's by its
-    leave-one-out values and scatters the result into the children.
+    One walk down the groups: each gathers its adjoints, a product group
+    multiplies them by its leave-one-out values, and the result scatters
+    into the children. The walk computes a run's values (``_run_loo``) at
+    the run's last group (``Group.run``) and keeps them for the arity; each
+    product group takes the last ones not yet taken.
     Returns the gradient and the counts ``divisions`` and ``ordered_hits``
     per child, and ``fallbacks`` per child with ``recompute``, else per node.
     """
     lay = layers_of(circuit)
-    has_div = semiring.supports_division
-    ordered = semiring.fully_ordered_mul and not recompute
-    divisions = ordered_hits = fallbacks = 0
-    loo_of = {}  # product group -> its leave-one-out values
+    counts = {"divisions": 0, "ordered_hits": 0, "fallbacks": 0}
+    left = {}  # arity -> its run's leave-one-out values not yet taken
     with np.errstate(all="ignore"):
-        for bucket in lay.buckets:
-            for run, ids, children in _runs(bucket, GROUP_EDGES):
-                node = values[..., None, ids]
-                child = values[..., children]
-                if has_div:
-                    zero_child = child == ops.zero
-                    loo = ops.divide(node, child)
-                    # a zero product of nonzero children underflowed
-                    rest = ops.refused(zero_child, loo) | (
-                        (node == ops.zero) & ~zero_child.any(axis=0))
-                else:
-                    rest, loo = np.ones(child.shape[-2:], dtype=bool), None
-                hits = int(np.count_nonzero(rest))
-                divisions += rest.size - hits
-                if hits and recompute:
-                    fallbacks += hits
-                    _recomputed_loo(ops, child, rest, loo)
-                elif hits and ordered:
-                    ordered_hits += hits
-                    alt = _ordered_loo(ops, node, child)
-                    loo = alt if loo is None else np.where(rest, alt, loo)
-                elif hits:
-                    cols = rest.any(axis=0)
-                    fallbacks += int(np.count_nonzero(cols))
-                    if loo is None:
-                        loo = _cumulative_loo(ops, child)
-                    else:
-                        alt = _cumulative_loo(ops, child[:, cols])
-                        loo[:, cols] = np.where(rest[:, cols], alt,
-                                                loo[:, cols])
-                at = 0
-                for g in run:
-                    loo_of[g] = loo[..., at:at + len(g.ids)]
-                    at += len(g.ids)
-
         adj = ops.full(circuit.node_count, ops.zero)
         adj[..., [circuit.root]] = ops.full(1, ops.one)
         for g in reversed(lay.groups):
             if g.kind == PROD:
-                a = ops.mul(adj[..., None, g.ids], loo_of.pop(g))
+                m, n = g.children.shape
+                if g.run is not None:
+                    run = [lay.groups[j] for j in g.run]
+                    left[m] = _run_loo(ops, values, run, semiring, recompute, counts)
+                loo = left.pop(m)
+                if loo.shape[-1] > n:
+                    left[m] = loo[..., :-n]
+                a = ops.mul(adj[..., None, g.ids], loo[..., -n:])
                 a = a.reshape(*a.shape[:-2], -1)
+                del loo  # the run goes with its first group's values
             else:
                 a = adj[..., g.parents]
             ops.add_at(adj, g.flat, a)
         grads = ops.full(2 * circuit.num_vars, ops.zero)
         ops.add_at(grads, lay.leaf_slots, adj[..., lay.leaf_ids])
     out = LiteralMap.from_order(circuit.num_vars, ops.zero, ops.to_list(grads))
-    counts = {"divisions": divisions, "ordered_hits": ordered_hits,
-              "fallbacks": fallbacks}
     return out, counts
 
 
-def _runs(groups, bound):
-    """``(run, ids, children)`` of consecutive groups of one arity, joined
-    while together they hold at most ``bound`` edges (or a group alone)."""
-    start = edges = 0
-    for i, g in enumerate(groups):
-        if i > start and edges + g.children.size > bound:
-            yield _joined(groups[start:i])
-            start, edges = i, 0
-        edges += g.children.size
-    yield _joined(groups[start:])
+def _run_loo(ops, values, run, semiring, recompute, counts):
+    """A run's leave-one-out values, ``(..., arity, nodes)`` in group order.
+
+    Per child: the node value divided by the child where the child is
+    cancellative (``ops.refused``) and the node did not underflow; else with
+    ``recompute`` its siblings' product (``_recomputed_loo``); else under
+    fully ordered multiplication the node value, or the second extremal
+    child for a unique extremal one (a top-2 scan by ``mul``); else the
+    node's cumulative prefix/suffix products. Adds to ``counts``.
+    """
+    ids, children = _joined(run)
+    node = values[..., None, ids]
+    child = values[..., children]
+    if semiring.supports_division:
+        zero_child = child == ops.zero
+        loo = ops.divide(node, child)
+        # a zero product of nonzero children underflowed
+        rest = ops.refused(zero_child, loo) | (
+            (node == ops.zero) & ~zero_child.any(axis=0))
+    else:
+        rest, loo = np.ones(child.shape[-2:], dtype=bool), None
+    hits = int(np.count_nonzero(rest))
+    counts["divisions"] += rest.size - hits
+    if hits and recompute:
+        counts["fallbacks"] += hits
+        _recomputed_loo(ops, child, rest, loo)
+    elif hits and semiring.fully_ordered_mul:
+        counts["ordered_hits"] += hits
+        alt = _ordered_loo(ops, node, child)
+        loo = alt if loo is None else np.where(rest, alt, loo)
+    elif hits:
+        cols = rest.any(axis=0)
+        counts["fallbacks"] += int(np.count_nonzero(cols))
+        if loo is None:
+            loo = _cumulative_loo(ops, child)
+        else:
+            alt = _cumulative_loo(ops, child[:, cols])
+            loo[:, cols] = np.where(rest[:, cols], alt, loo[:, cols])
+    return loo
 
 
 def _joined(run):
     if len(run) == 1:
-        return run, run[0].ids, run[0].children
-    return (run, np.concatenate([g.ids for g in run]),
+        return run[0].ids, run[0].children
+    return (np.concatenate([g.ids for g in run]),
             np.concatenate([g.children for g in run], axis=1))
 
 

@@ -196,7 +196,7 @@ def indecater_estimate(circuit: Circuit, params: BernoulliParams,
         start += rows
     g_hat = counts / total
     stderr = np.sqrt(g_hat * (1.0 - g_hat) / total)
-    return (root_count / total, LiteralMap.from_order(nv, 0.0, g_hat),
+    return (root_count / total, LiteralMap.from_order(nv, 0.0, g_hat.tolist()),
             LiteralMap.from_order(nv, 0.0, stderr.tolist()))
 
 

@@ -12,6 +12,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,14 +196,13 @@ def test_layers_are_compiled_once_per_circuit():
     forward(c, LiteralMap(2, 0.5), prob)
     compiled = c._layers
     assert compiled is not None
-    buckets = compiled.buckets
-    assert [[g.children.shape for g in bucket] for bucket in buckets] == \
-        [[(2, 1)]]
+    groups = compiled.groups
+    assert [(g.children.shape, g.run) for g in groups] == [((2, 1), [0])]
     log = make_semiring("log")
     tape = forward(c, LiteralMap(2, 0.25), log)
     backward_optimized(c, tape, log)
     backward_optimized(c, forward(c, LiteralMap(2, 0.5), prob), prob)
-    assert c._layers is compiled and compiled.buckets is buckets
+    assert c._layers is compiled and compiled.groups is groups
 
 
 def three_arities():
@@ -219,16 +219,28 @@ def three_arities():
 
 
 @pytest.mark.parametrize("bound", [1, 4, 6, layers.GROUP_EDGES])
-def test_runs_cover_each_bucket_within_the_bound(bound):
-    lay = layers.layers_of(three_arities())
-    for bucket in lay.buckets:
-        runs = list(layers._runs(bucket, bound))
-        assert [g for run, _, _ in runs for g in run] == bucket
-        for run, ids, children in runs:
-            assert len(run) == 1 or children.size <= bound
-            assert ids.tolist() == [i for g in run for i in g.ids.tolist()]
-            assert children.tolist() == np.concatenate(
-                [g.children for g in run], axis=1).tolist()
+def test_runs_cover_each_bucket_within_the_bound(bound, monkeypatch):
+    monkeypatch.setattr(layers, "GROUP_EDGES", bound)
+    groups = layers.layers_of(three_arities()).groups
+    runs = [g.run for g in groups if g.run is not None]
+    for g in groups:
+        assert g.run is None or g is groups[g.run[-1]]
+
+    def edges(run):
+        return sum(groups[i].children.size for i in run)
+
+    arities = {len(g.children) for g in groups if g.kind == PROD}
+    assert len(arities) == 3
+    for m in arities:
+        bucket = [i for i, g in enumerate(groups)
+                  if g.kind == PROD and len(g.children) == m]
+        own = [run for run in runs if len(groups[run[0]].children) == m]
+        # in group order, each product group of the arity in one run
+        assert [i for run in own for i in run] == bucket
+        for run, after in zip(own, own[1:] + [None]):
+            assert len(run) == 1 or edges(run) <= bound
+            if after:  # the cut is greedy: the next group did not fit
+                assert edges(run) + edges(after[:1]) > bound
 
 
 @pytest.mark.parametrize("name", ARRAY_SEMIRINGS)
@@ -237,28 +249,47 @@ def test_leave_one_out_chunks_keep_results(name, bound, monkeypatch):
     # a zero child, a product that underflows, a tie at the extremal child
     ws = [0.5, 0.0, 1e-200, 1e-200, 0.5, 0.7, 0.5, 0.25,
           1.0, -1.0, 0.5, 2.0, 0.0, 1.0, -0.5, 0.5]
-    c = three_arities()
-    labels = labeling(name, c, ws)
     S = make_semiring(name)
-    tape = forward(c, labels, S)  # compiles the groups at the default bound
-
     variants = [backward_optimized]
     if S.supports_division:
         variants.append(backward_cancel)
 
     def run():
+        # groups and runs are compiled at the bound of the first pass
+        c = three_arities()
+        labels = labeling(name, c, ws)
+        tape = forward(c, labels, S)
         out = []
         for backward in variants:
             stats = {}
             grads = backward(c, tape, S, stats=stats)
             out.append(([repr(v) for v in grads.values_in_order()], stats))
-        return out
+        return out, c, labels
 
-    want = run()
-    # only the leave-one-out chunks see the bound: the groups are compiled
+    want, _, _ = run()
     monkeypatch.setattr(layers, "GROUP_EDGES", bound)
-    assert run() == want
+    got, c, labels = run()
+    assert got == want
     check_against_python_opt(name, c, labels)
+
+
+@pytest.mark.parametrize("backward", [backward_optimized, backward_cancel])
+def test_walk_holds_one_run_per_arity(backward, monkeypatch):
+    monkeypatch.setattr(layers, "GROUP_EDGES", 1024)
+    rng = random.Random(3)
+    models = [[v if rng.random() < 0.5 else -v for v in range(1, 65)]
+              for _ in range(256)]
+    c = models_to_circuit(models, 64)  # 16 runs of 1,024 product edges
+    prob = make_semiring("prob")
+    tape = forward(c, LiteralMap(64, 0.5), prob, check=False)
+    every_loo = 8 * 256 * 64  # one float per product edge
+    tracemalloc.start()
+    try:
+        backward(c, tape, prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < every_loo / 2
 
 
 def asap_keys(c):

@@ -136,6 +136,14 @@ def test_indecater_reproducible(example2_smooth):
     assert g1 == g2 and s1 == s2
 
 
+def test_indecater_results_are_python_floats(example2_smooth):
+    p_hat, g_hat, stderr = indecater_estimate(
+        example2_smooth, EXAMPLE_PARAMS, SampleBatch(seed=7, count=500))
+    assert type(p_hat) is float
+    for est in (g_hat, stderr):
+        assert all(type(v) is float for v in est.values_in_order())
+
+
 def test_indecater_chunks_do_not_change_result(example2_smooth):
     a = indecater_estimate(example2_smooth, EXAMPLE_PARAMS,
                            SampleBatch(seed=7, count=3000, chunk=512))
