@@ -7,7 +7,8 @@ pass never reads an uncomputed value. Child lists keep order and multiplicity.
 Parsing, pruning, smoothing and the scope checks are numpy passes over the
 circuit's CSR arrays; where an order matters they go one frontier of nodes
 at a time (``_frontier_heights``, ``_reachable``), or one level of an order
-already known (``_level``). ``CircuitBuilder`` and ``write_d4`` stay Python.
+already known (``_level``), which fills every circuit's heights and scope
+rows. ``CircuitBuilder`` and ``write_d4`` stay Python.
 """
 
 from __future__ import annotations
@@ -117,13 +118,13 @@ class Circuit:
         self.deterministic_by_construction = deterministic_by_construction
         self._kinds = self._lits = self._children = None
         self._max_arity = int(arity.max(initial=0))
-        self._rows = None  # packed scopes, see layers.scope_rows
+        self._rows = None  # packed scopes, filled by _level
         self._smooth = None
         self._decomposable = None
         self._sums = None  # sums of two or more children, once listed
         self._determinism = None  # the exhaustive check's verdict, once run
         self._layers = None  # compiled by layers.layers_of on first use
-        self._heights = None  # longest paths to a leaf, see layers.Layers
+        self._heights = None  # longest paths to a leaf, see heights_of
 
     @property
     def kinds(self) -> list:
@@ -162,8 +163,7 @@ class Circuit:
 
     def _scope_rows(self):
         if self._rows is None:
-            from .layers import scope_rows  # layers imports the kinds from here
-            self._rows = scope_rows(self)
+            _level(self)
         return self._rows
 
     def is_smooth(self) -> bool:
@@ -365,6 +365,15 @@ def _frontier_heights(n, parent, child):
     return height
 
 
+def heights_of(circuit):
+    """The circuit's ``_heights``, walked once if no level pass filled them."""
+    if circuit._heights is None:
+        n = circuit.node_count
+        parent = np.repeat(np.arange(n), np.diff(circuit.offsets))
+        circuit._heights = _frontier_heights(n, parent, circuit.flat)
+    return circuit._heights
+
+
 def _reachable(offsets, flat, root):
     """Nodes reachable from ``root`` in a DAG: the others are peeled off one
     frontier at a time, starting from the nodes without parents."""
@@ -479,7 +488,7 @@ def parse_d4(path) -> Circuit:
     for the order and the cycle check. The circuit's own heights, which
     ``layers.Layers`` groups by, and its scope rows follow from that order
     in one pass over its levels (``_level``), so neither its compile nor
-    its scope checks walk a frontier or fold the groups.
+    its scope checks walk a frontier.
     """
     kind, ids, parent, child, at, m, lits = _d4_graph(path)
     height = _frontier_heights(len(ids), parent, child)
@@ -502,7 +511,7 @@ def parse_d4(path) -> Circuit:
     return circuit
 
 
-def _level(circuit, key):
+def _level(circuit, key=None):
     """Fill the circuit's ``_heights`` (longest paths down to a leaf) and
     ``_rows`` (its scope rows) from ascending ``key``s under which every
     child lies below its parent and the leaves are the nodes of the lowest
@@ -510,14 +519,27 @@ def _level(circuit, key):
     contiguous: each key is one ``maximum.reduceat`` over the heights and
     one ``bitwise_or.reduceat`` over the rows of the keys below it. A key
     is cut every ``GROUP_EDGES`` edges as well, which bounds the gathers as
-    the compiled groups bound a pass's."""
-    # layers imports the kinds from here
-    from .layers import GROUP_EDGES, _var_rows
+    the compiled groups bound a pass's. Without a key the heights are the
+    key (``heights_of``): a circuit not in their order levels a twin that
+    is, and takes its rows."""
+    if key is None:
+        key = heights_of(circuit)
+        if (np.diff(key) < 0).any():
+            order = np.argsort(key, kind="stable")
+            twin = _relabelled(circuit.kind, circuit.lit, circuit.offsets,
+                               circuit.flat, order, circuit.root,
+                               circuit.num_vars, False)
+            _level(twin, key[order])
+            circuit._rows = np.empty_like(twin._rows)
+            circuit._rows[order] = twin._rows
+            return
+    from .layers import GROUP_EDGES  # layers imports the kinds from here
     offsets, flat = circuit.offsets, circuit.flat
     height = np.zeros(len(key), dtype=np.int64)
     rows = np.zeros((len(key), -(-circuit.num_vars // 64)), dtype=np.uint64)
     leaves = np.flatnonzero(circuit.kind == LIT)
-    rows[leaves] = _var_rows(np.abs(circuit.lit[leaves]) - 1, rows.shape[1])
+    var = np.abs(circuit.lit[leaves]) - 1  # a leaf's row has its variable's bit
+    rows[leaves, var // 64] = np.uint64(1) << (var % 64).astype(np.uint64)
     cut = (np.diff(key) != 0) | (np.diff(offsets[:-1] // GROUP_EDGES) != 0)
     bounds = (np.flatnonzero(cut) + 1).tolist()
     for lo, hi in zip(bounds, bounds[1:] + [len(key)]):
@@ -793,14 +815,14 @@ def smooth(circuit: Circuit) -> Circuit:
     the gadgets, then the nodes of each height with that height's wrappers
     together just below them. One pass over those levels (``_level``)
     fills its heights and scope rows, and it is known to be smooth and
-    decomposable. So the gate folds no scopes and compiles nothing above
+    decomposable. So the gate levels nothing and compiles nothing above
     the determinism budget: the result's compile runs in its first pass.
     """
     if not circuit.is_decomposable():
         raise StructureError("cannot smooth a non-decomposable circuit",
                              validate(circuit, 0))
     rows = circuit._scope_rows()
-    height = circuit._heights  # filled with the rows, or by their compile
+    height = circuit._heights  # _level fills them with the rows
     kind, lit, offsets, flat = (circuit.kind, circuit.lit, circuit.offsets,
                                 circuit.flat)
     n = circuit.node_count

@@ -140,6 +140,16 @@ def _budget(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _at_least(low):
+    """An argparse type for integers of at least ``low``."""
+    def count(text):
+        if not text.removeprefix("-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at least {low}, got {text!r}")
+        return int(text)
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amckit",
@@ -181,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--suite", help="directory of .nnf files")
     p_bench.add_argument("--semiring", default="prob", choices=SEMIRING_NAMES)
     p_bench.add_argument("--algos", default=",".join(VARIANTS))
-    p_bench.add_argument("--repeat", type=int, default=10)
-    p_bench.add_argument("--warmup", type=int, default=1)
+    p_bench.add_argument("--repeat", type=_at_least(1), default=10)
+    p_bench.add_argument("--warmup", type=_at_least(0), default=1)
     p_bench.add_argument("--seed", type=int, default=1234)
 
     p_val = sub.add_parser("validate", help="structural property report")

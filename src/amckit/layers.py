@@ -2,16 +2,12 @@
 
 A circuit is compiled once into groups of nodes that share a height, a
 kind and an arity, split where they would exceed ``GROUP_EDGES`` edges. A
-node's height is its longest path down to a leaf, except that a node of one
-parent edge moves up to just below its parent where nodes of its kind and
-arity already are: any height between the two keeps the order of a pass,
-and joining a group there adds none. The longest-path heights are the
-circuit's ``_heights``: ``parse_d4`` and ``smooth`` fill them with its scope
-rows in one pass over the levels they order their nodes by
-(``circuits._level``), and otherwise the compile walks the frontier
-(``circuits._frontier_heights``) and keeps them. Each group holds a
-``(arity, nodes)`` matrix of child ids, so a forward pass is one gather and
-one reduction per group in ascending height. The product groups of one
+node's height is its longest path down to a leaf (``circuits.heights_of``),
+except that a node of one parent edge moves up to just below its parent
+where nodes of its kind and arity already are: any height between the two
+keeps the order of a pass, and joining a group there adds none. Each group
+holds a ``(arity, nodes)`` matrix of child ids, so a forward pass is one
+gather and one reduction per group in ascending height. The product groups of one
 arity are also joined, in that order, into runs of up to ``GROUP_EDGES``
 edges. The backward pass is one walk down the groups: a gather of adjoints
 per group, for a product group a multiply by its leave-one-out values, and
@@ -42,8 +38,8 @@ leave-one-out product are thus the same values in either layout;
 ``sat_counts`` runs the Boolean forward and backward on the same groups for
 a batch of assignments at once, 64 per ``uint64`` word, and counts which
 literal-conditioned circuits each assignment satisfies. One fold over
-packed ``uint64`` rows (``_fold``) is that forward, the determinism check's
-forward over every assignment and the scope pass. Passes take every word
+packed ``uint64`` rows (``_bool_forward``) is that forward and the
+determinism check's forward over every assignment. Passes take every word
 they are given; their callers cut the words into blocks (``_word_blocks``).
 """
 
@@ -51,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import LIT, PROD, SUM, TRUE, _frontier_heights
+from .circuits import LIT, PROD, SUM, TRUE, heights_of
 from .literals import LiteralMap
 
 
@@ -253,11 +249,8 @@ class Layers:
     give. The product groups of one arity are joined, in that order, into
     runs of at most ``GROUP_EDGES`` edges (or a group alone), each held by
     its last group (``Group.run``). ``scatters`` holds
-    ``sat_counts``' OR plans, built on its first call. The heights are the
-    circuit's ``_heights`` where ``parse_d4`` or ``smooth`` filled them in
-    their level pass; for any other circuit (from ``CircuitBuilder``,
-    ``Circuit(...)`` or ``prune_unreachable``) the frontier pass computes
-    them here and fills the slot.
+    ``sat_counts``' OR plans, built on its first call. The heights come
+    from ``circuits.heights_of``, and a compile computes no scope rows.
     """
 
     __slots__ = ("groups", "leaf_ids", "leaf_slots", "one_ids", "scatters")
@@ -267,9 +260,7 @@ class Layers:
         n = circuit.node_count
         arity = np.diff(offsets)
         parent = np.repeat(np.arange(n), arity)  # of each edge in flat
-        height = circuit._heights
-        if height is None:
-            height = circuit._heights = _frontier_heights(n, parent, flat)
+        height = heights_of(circuit)
 
         inner = np.flatnonzero(arity > 0)
         h, k, a = height[inner], kind[inner], arity[inner]
@@ -506,13 +497,13 @@ def sat_counts(circuit, draws):
         adj = np.zeros_like(values)
         adj[circuit.root] = real[lo:hi]
         for g, scatter in scatters:
-            contrib = adj[g.ids[scatter.order % len(g.ids)]]
+            contrib = adj.take(g.ids[scatter.order % len(g.ids)], axis=0)
             if g.kind == PROD:
-                loo = _siblings_and(values[g.children])
-                contrib &= loo.reshape(contrib.shape)[scatter.order]
+                loo = _siblings_and(values.take(g.children, axis=0))
+                contrib &= loo.reshape(contrib.shape).take(scatter.order, axis=0)
             scatter.apply(adj, contrib)
         by_literal = np.zeros((2 * nv, hi - lo), dtype=np.uint64)
-        leaves.apply(by_literal, adj[lay.leaf_ids[leaves.order]])
+        leaves.apply(by_literal, adj.take(lay.leaf_ids[leaves.order], axis=0))
         sat += int(_popcount(values[[circuit.root]] & real[lo:hi])[0])
         counts += _popcount(by_literal)
     return sat, counts
@@ -539,42 +530,18 @@ def _word_blocks(lay, words, rows):
     return list(zip(cuts, cuts[1:]))
 
 
-def _fold(circuit, leaf_rows, fill):
-    """``(node_count, words)`` uint64 rows folded up the groups from
-    ``leaf_rows`` (one per ``Layers.leaf_ids``), with ``fill`` for true
-    nodes and childless products. Sums OR their children's rows; products
-    AND them for models (``fill`` all ones) and OR them for scopes (zero)."""
-    lay = layers_of(circuit)
-    rows = np.zeros((circuit.node_count, leaf_rows.shape[1]), dtype=np.uint64)
-    rows[lay.leaf_ids] = leaf_rows
-    rows[lay.one_ids] = fill
-    product = np.bitwise_and if fill else np.bitwise_or
-    for g in lay.groups:
-        op = np.bitwise_or if g.kind == SUM else product
-        rows[g.ids] = op.reduce(rows[g.children], axis=0)
-    return rows
-
-
 def _bool_forward(circuit, lits):
     """``(node_count, words)`` bits of a Boolean forward pass from the
-    positive literals ``lits``, ``(num_vars, words)`` uint64."""
-    slots = layers_of(circuit).leaf_slots  # canonical literal order
-    return _fold(circuit, np.concatenate([lits, ~lits])[slots], _ALL)
-
-
-def scope_rows(circuit):
-    """``(node_count, ceil(num_vars / 64))`` uint64 scopes: bit v-1 of a row
-    is set when the node mentions variable v."""
-    var = np.abs(circuit.lit[layers_of(circuit).leaf_ids]) - 1
-    return _fold(circuit, _var_rows(var, -(-circuit.num_vars // 64)),
-                 np.uint64(0))
-
-
-def _var_rows(var, words):
-    """A ``words``-word uint64 scope row per 0-based variable in ``var``."""
-    rows = np.zeros((len(var), words), dtype=np.uint64)
-    rows[np.arange(len(var)), var // 64] = np.left_shift(
-        np.uint64(1), (var % 64).astype(np.uint64))
+    positive literals ``lits``, ``(num_vars, words)`` uint64: sums OR their
+    children's rows and products AND them, group by group."""
+    lay = layers_of(circuit)
+    rows = np.zeros((circuit.node_count, lits.shape[1]), dtype=np.uint64)
+    both = np.concatenate([lits, ~lits])  # canonical literal order
+    rows[lay.leaf_ids] = both.take(lay.leaf_slots, axis=0)
+    rows[lay.one_ids] = _ALL
+    for g in lay.groups:
+        op = np.bitwise_or if g.kind == SUM else np.bitwise_and
+        rows[g.ids] = op.reduce(rows.take(g.children, axis=0), axis=0)
     return rows
 
 

@@ -10,7 +10,8 @@ _SPEC = importlib.util.spec_from_file_location("bench_json", _PATH)
 bench_json = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_json)
 
-DIRECTIONS = {"setup_s": "lower", "edges_per_s": "higher"}
+DIRECTIONS = {"setup_s": {"better": "lower", "bound": 0.25},
+              "edges_per_s": {"better": "higher", "bound": 0.25}}
 
 
 @pytest.mark.parametrize("spec,seeds", [("101-105", [101, 102, 103, 104, 105]),
@@ -90,3 +91,52 @@ def test_summary_pairs_the_runs_of_a_repeated_seed_in_order():
     assert got["pairs"] == 3
     assert got["change_wins"] == 2
     assert got["change"]["median"] == 1.0
+
+
+def _verdicts(pairs, better="lower"):
+    specs = {"setup_s": {"better": better, "bound": 0.25}}
+    return bench_json._summary(_runs("w", pairs), specs)["w"]["setup_s"]
+
+
+def test_summary_reports_shift_spreads_and_bound():
+    # parent 8, 10, 12 (quartiles 9 and 11); change 11, 11, 11
+    got = _verdicts([(8.0, 11.0), (10.0, 11.0), (12.0, 11.0)])
+    assert got["bound"] == 0.25
+    assert got["shift"] == pytest.approx(0.1)  # 10% slower
+    assert got["parent_spread"] == pytest.approx(0.2)
+    assert got["change_spread"] == 0.0
+    assert got["verdict"] == "ok"
+
+
+def test_summary_shift_is_positive_when_worse_in_either_direction():
+    pairs = [(10.0, 13.0), (10.0, 13.0)]
+    assert _verdicts(pairs)["shift"] == pytest.approx(0.3)
+    assert _verdicts(pairs)["verdict"] == "worse"
+    # 30% more edges per second is better, not worse
+    higher = _verdicts(pairs, better="higher")
+    assert higher["shift"] == pytest.approx(-0.3)
+    assert higher["verdict"] == "ok"
+
+
+def test_summary_worse_beats_unresolved():
+    got = _verdicts([(5.0, 20.0), (10.0, 20.0), (15.0, 20.0)])
+    assert got["parent_spread"] > 0.25 and got["verdict"] == "worse"
+
+
+def test_summary_unresolved_when_a_spread_exceeds_the_bound():
+    # parent quartiles 7 and 13 around 10: 60% of the median
+    assert _verdicts([(4.0, 9.0), (10.0, 9.5), (16.0, 10.0)])["verdict"] \
+        == "unresolved"
+    # a steady parent and a change spread as widely
+    assert _verdicts([(10.0, 4.0), (10.0, 10.0), (10.0, 16.0)])["verdict"] \
+        == "unresolved"
+
+
+def test_summary_resolves_a_wide_spread_when_every_change_run_wins():
+    # spread past the bound, yet each change run beats each parent run
+    got = _verdicts([(10.0, 3.0), (16.0, 5.0), (22.0, 9.0)])
+    assert got["parent_spread"] > 0.25 and got["change_spread"] > 0.25
+    assert got["verdict"] == "ok"
+    # one change run only ties the fastest parent run
+    assert _verdicts([(10.0, 3.0), (16.0, 5.0), (22.0, 10.0)])["verdict"] \
+        == "unresolved"

@@ -19,6 +19,7 @@ from amckit import (And, BernoulliParams, Bottom, Circuit, CircuitBuilder,
                     oracle_amc, oracle_grad, parse_d4, parse_weights,
                     prune_unreachable, smooth, validate, write_d4)
 from amckit import layers, matrix_to_circuit
+from amckit.bench import star_circuit
 from amckit.circuits import (FALSE, LIT, PROD, SUM, TRUE, _frontier_heights,
                              determinism_budget)
 
@@ -480,30 +481,64 @@ def test_smooth_hands_over_scope_rows_and_verdicts(rng, tmp_path):
     assert smoothed >= 20
 
 
+def or_fold(c):
+    """Scope rows by a Python loop: a literal's variable bit, OR-ed up
+    ``c.children``."""
+    scopes = []
+    for kind, lit, children in zip(c.kinds, c.lits, c.children):
+        scope = 1 << abs(lit) - 1 if kind == LIT else 0
+        for child in children:
+            scope |= scopes[child]
+        scopes.append(scope)
+    rows = np.zeros((len(scopes), -(-c.num_vars // 64)), dtype=np.uint64)
+    for (i, w), _ in np.ndenumerate(rows):
+        rows[i, w] = scopes[i] >> 64 * w & (1 << 64) - 1
+    return rows
+
+
 @pytest.mark.parametrize("group_edges", [layers.GROUP_EDGES, 3])
 def test_parse_and_smooth_level_heights_and_scope_rows(monkeypatch, rng,
                                                        tmp_path, group_edges):
-    # every circuit parse_d4 or smooth returns, against the frontier and
-    # the groups' fold on a copy that knows nothing. smooth's inputs also
-    # come from CircuitBuilder, whose heights their compile gives; one has
-    # a childless product and a sum of one child. With 3 edges a level is
+    # every circuit parse_d4 or smooth returns, and built circuits that
+    # level by their frontier heights, against the frontier and a Python
+    # fold. smooth's inputs also come from CircuitBuilder; one has a
+    # childless product and a sum of one child. With 3 edges a level is
     # cut into many slices
+    from test_engine import three_arities  # test_engine imports this module
     monkeypatch.setattr(layers, "GROUP_EDGES", group_edges)
     b = CircuitBuilder()
     x1, x2 = b.literal(1), b.literal(2)
     both = b.product([x1, b._append(SUM, 0, (x2,)), b._append(PROD, 0, ())])
     built = [b.build(b.sum([both, b.literal(-1)]))]
     built += [random_decision_circuit(rng, range(1, 7))[0] for _ in range(20)]
-    out = [smooth(c) for c in built]
-    assert sum(sm is not c for sm, c in zip(out, built)) >= 10
+    copies = [fresh_copy(c) for c in built]  # the built ones stay unleveled
+    out = [smooth(c) for c in copies]
+    assert sum(sm is not c for sm, c in zip(out, copies)) >= 10
+    for c in built[1:11]:
+        # rooted at an inner node below the root, so some nodes go
+        inner = np.flatnonzero(np.diff(c.offsets) > 0)
+        if len(inner) > 1:
+            out.append(prune_unreachable(Circuit._from_arrays(
+                c.kind, c.lit, c.offsets, c.flat, int(inner[-2]), c.num_vars)))
+            assert out[-1].node_count < c.node_count
+    for n in [2, 3, 5, 8]:
+        m = np.triu(np.array([[rng.random() < 0.5 for _ in range(n)]
+                              for _ in range(n)], dtype=np.int64))
+        out.append(matrix_to_circuit(m | m.T))
+    # over 64 variables a row is two words; a star is in height order
+    wide = [[v * rng.choice((1, -1)) for v in range(1, 71)] for _ in range(4)]
+    out += built + [three_arities(), models_to_circuit(wide, 70),
+                    star_circuit(70)]
     for path in d4_corpus(tmp_path, rng):
         parsed = parse_d4(path)
         out.append(parsed)
         if parsed.is_decomposable():
             out.append(smooth(parsed))
     for c in out:
+        rows = c._scope_rows()
         assert (c._heights == frontier_heights(c)).all(), c
-        assert (c._rows == layers.scope_rows(fresh_copy(c))).all(), c
+        assert rows.shape == (c.node_count, -(-c.num_vars // 64)), c
+        assert (rows == or_fold(c)).all(), c
 
 
 def test_smooth_hands_over_exact_heights_where_a_wrapper_reaches_its_sum():

@@ -338,6 +338,26 @@ def test_bench_csv_schema(capsys):
         assert int(row[8]) > 0
 
 
+@pytest.mark.parametrize("flag,value,low", [
+    ("--repeat", "-3", 1), ("--repeat", "0", 1), ("--repeat", "x", 1),
+    ("--warmup", "-5", 0), ("--warmup", "1.5", 0)])
+def test_bench_rejects_counts_below_their_least(capsys, flag, value, low):
+    with pytest.raises(SystemExit) as exit_:
+        main(["bench", "--circuit", data_path("example2_smooth.nnf"),
+              flag, value])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{flag}: must be an integer of at least {low}, got {value!r}" in err
+
+
+def test_bench_runs_without_warmup(capsys):
+    code, out, _ = run_cli(capsys, "bench",
+                           "--circuit", data_path("example2_smooth.nnf"),
+                           "--algos", "opt", "--repeat", "1", "--warmup", "0")
+    assert code == 0 and len(out.strip().splitlines()) == 2
+
+
 def test_bench_non_timing_columns_reproducible(capsys):
     def run():
         code, out, _ = run_cli(capsys, "bench",

@@ -428,7 +428,6 @@ def test_set_up_walks_the_frontier_once(monkeypatch, tmp_path):
         return _frontier_heights(*args)
 
     monkeypatch.setattr(circuits, "_frontier_heights", counted)
-    monkeypatch.setattr(layers, "_frontier_heights", counted)
     path = tmp_path / "layered.nnf"
     write_layered_d4(path, 8, 12, seed=2)
     prob = make_semiring("prob")
@@ -460,7 +459,6 @@ def test_set_up_compiles_only_the_smoothed_circuit(monkeypatch, tmp_path,
             super().__init__(circuit)
 
     monkeypatch.setattr(circuits, "_frontier_heights", counted)
-    monkeypatch.setattr(layers, "_frontier_heights", counted)
     monkeypatch.setattr(layers, "Layers", Counted)
     path = data_path(name)
     if name == "layered.nnf":
@@ -476,6 +474,37 @@ def test_set_up_compiles_only_the_smoothed_circuit(monkeypatch, tmp_path,
     assert c is not parsed
     assert compiles == [c]
     assert walks == [declared]
+
+
+def test_built_circuits_check_scopes_without_a_compile(monkeypatch):
+    # a built circuit's scope checks level it on one frontier walk and
+    # compile nothing; its first gradient compiles once on the heights
+    # kept. An unchecked forward levels nothing
+    walks, compiles = [], []
+
+    def counted(*args):
+        walks.append(args[0])
+        return _frontier_heights(*args)
+
+    class Counted(layers.Layers):
+        __slots__ = ()
+
+        def __init__(self, circuit):
+            compiles.append(circuit)
+            super().__init__(circuit)
+
+    monkeypatch.setattr(circuits, "_frontier_heights", counted)
+    monkeypatch.setattr(layers, "Layers", Counted)
+    c = three_arities()
+    assert c.is_smooth() and c.is_decomposable()
+    assert len(circuits.compute_scopes(c)) == c.node_count
+    assert compiles == [] and walks == [c.node_count]
+    prob = make_semiring("prob")
+    grad_amc(c, default_labels(prob, c.num_vars), prob)
+    assert compiles == [c] and walks == [c.node_count]
+    other = three_arities()
+    forward(other, default_labels(prob, other.num_vars), prob, check=False)
+    assert other._rows is None and compiles == [c, other]
 
 
 @pytest.mark.parametrize("arity", [2, 5])
