@@ -6,9 +6,9 @@ pass never reads an uncomputed value. Child lists keep order and multiplicity.
 
 Parsing, pruning, smoothing and the scope checks are numpy passes over the
 circuit's CSR arrays; where an order matters they go one frontier of nodes
-at a time (``_frontier_heights``, ``_reachable``), or one level of an order
-already known (``_level``), which fills every circuit's heights and scope
-rows. ``CircuitBuilder`` and ``write_d4`` stay Python.
+at a time (``_frontier_heights``, ``_reachable``), or one level of a key at
+a time (``_level``), which fills every circuit's scope rows whatever its
+node order. ``CircuitBuilder`` and ``write_d4`` stay Python.
 """
 
 from __future__ import annotations
@@ -513,42 +513,36 @@ def parse_d4(path) -> Circuit:
 
 def _level(circuit, key=None):
     """Fill the circuit's ``_heights`` (longest paths down to a leaf) and
-    ``_rows`` (its scope rows) from ascending ``key``s under which every
-    child lies below its parent and the leaves are the nodes of the lowest
-    key. The nodes of one key, and so their children in ``flat``, are
-    contiguous: each key is one ``maximum.reduceat`` over the heights and
-    one ``bitwise_or.reduceat`` over the rows of the keys below it. A key
-    is cut every ``GROUP_EDGES`` edges as well, which bounds the gathers as
-    the compiled groups bound a pass's. Without a key the heights are the
-    key (``heights_of``): a circuit not in their order levels a twin that
-    is, and takes its rows."""
+    ``_rows`` (its scope rows) by ascending ``key`` (default: the heights,
+    ``heights_of``), under which every child lies below its parent and the
+    leaves are the nodes of the lowest key. The nodes, in any order, are
+    sorted by key and their children gathered once in that order: each key
+    is then one slice, one ``maximum.reduceat`` over the heights and one
+    ``bitwise_or.reduceat`` over the rows of the keys below it. A key is
+    cut every ``GROUP_EDGES`` edges as well, which bounds the gathers as
+    the compiled groups bound a pass's."""
+    from .layers import GROUP_EDGES  # layers imports the kinds from here
     if key is None:
         key = heights_of(circuit)
-        if (np.diff(key) < 0).any():
-            order = np.argsort(key, kind="stable")
-            twin = _relabelled(circuit.kind, circuit.lit, circuit.offsets,
-                               circuit.flat, order, circuit.root,
-                               circuit.num_vars, False)
-            _level(twin, key[order])
-            circuit._rows = np.empty_like(twin._rows)
-            circuit._rows[order] = twin._rows
-            return
-    from .layers import GROUP_EDGES  # layers imports the kinds from here
-    offsets, flat = circuit.offsets, circuit.flat
+    order = np.argsort(key, kind="stable")
+    starts, ends = circuit.offsets[order], circuit.offsets[order + 1]
+    flat = circuit.flat[_ranges(starts, ends)]
+    offsets = np.append(0, np.cumsum(ends - starts))  # into the gathered flat
     height = np.zeros(len(key), dtype=np.int64)
     rows = np.zeros((len(key), -(-circuit.num_vars // 64)), dtype=np.uint64)
     leaves = np.flatnonzero(circuit.kind == LIT)
     var = np.abs(circuit.lit[leaves]) - 1  # a leaf's row has its variable's bit
     rows[leaves, var // 64] = np.uint64(1) << (var % 64).astype(np.uint64)
-    cut = (np.diff(key) != 0) | (np.diff(offsets[:-1] // GROUP_EDGES) != 0)
+    cut = ((np.diff(key[order]) != 0)
+           | (np.diff(offsets[:-1] // GROUP_EDGES) != 0))
     bounds = (np.flatnonzero(cut) + 1).tolist()
     for lo, hi in zip(bounds, bounds[1:] + [len(key)]):
         a, b = offsets[lo], offsets[hi]
         at = offsets[lo:hi] - a
-        height[lo:hi] = np.maximum.reduceat(height[flat[a:b]], at)
-        height[lo:hi] += 1
+        nodes = order[lo:hi]
+        height[nodes] = np.maximum.reduceat(height[flat[a:b]], at) + 1
         # take gathers whole rows faster than fancy indexing does
-        rows[lo:hi] = np.bitwise_or.reduceat(rows.take(flat[a:b], axis=0), at,
+        rows[nodes] = np.bitwise_or.reduceat(rows.take(flat[a:b], axis=0), at,
                                              axis=0)
     circuit._heights, circuit._rows = height, rows
 

@@ -11,6 +11,7 @@ quantities.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,20 +177,24 @@ def indecater_estimate(circuit: Circuit, params: BernoulliParams,
     64 samples, and memory is about nodes x chunk/4 bytes. Fixed seeds give
     bit-identical results regardless of chunking.
     """
-    if batch.count <= 0:
+    try:  # numpy integers too
+        total, chunk = operator.index(batch.count), operator.index(batch.chunk)
+    except TypeError:
+        raise ValueError(f"sample count and chunk must be integers, got "
+                         f"{batch.count!r} and {batch.chunk!r}") from None
+    if total <= 0:
         raise ValueError("sample batch is empty")
-    if batch.chunk <= 0:
-        raise ValueError(f"sample chunk must be positive, got {batch.chunk}")
+    if chunk <= 0:
+        raise ValueError(f"sample chunk must be positive, got {chunk}")
     _require_params(circuit, params)
     structural_gate(circuit, _BOOL)
     nv = circuit.num_vars
     probs = np.asarray(params.probs[:nv], dtype=np.float64)
-    total = batch.count
     counts = np.zeros(2 * nv, dtype=np.int64)
     root_count = 0
     start = 0
     while start < total:
-        rows = min(batch.chunk, total - start)
+        rows = min(chunk, total - start)
         r, c = sat_counts(circuit, _uniform_rows(batch.seed, start, rows, probs))
         root_count += r
         counts += c

@@ -18,10 +18,11 @@ from amckit import (And, BernoulliParams, Bottom, Circuit, CircuitBuilder,
                     forward, grad_amc, make_semiring, models_to_circuit,
                     oracle_amc, oracle_grad, parse_d4, parse_weights,
                     prune_unreachable, smooth, validate, write_d4)
-from amckit import layers, matrix_to_circuit
+from amckit import circuits, layers, matrix_to_circuit
 from amckit.bench import star_circuit
 from amckit.circuits import (FALSE, LIT, PROD, SUM, TRUE, _frontier_heights,
                              determinism_budget)
+from amckit.literals import negate
 
 from conftest import (cases, labeling, maps_close, random_formula,
                       random_labels, values_close)
@@ -232,6 +233,13 @@ def test_literal_map_keeps_canonical_order():
     twin.set(-2, "changed")
     assert twin != m and m.get(-2) == "-x2"
     assert m.get(4) == m.get(-9) == "fill"
+
+
+def test_literal_map_repr_and_negate():
+    m = LiteralMap.from_order(2, 1.0, [0.5, 0.25, 0.5, 0.75])
+    assert repr(m) == "LiteralMap({1: 0.5, 2: 0.25, -1: 0.5, -2: 0.75})"
+    assert repr(LiteralMap(0, 1.0)) == "LiteralMap({})"
+    assert [negate(lit) for lit in m.literals()] == [-1, -2, 1, 2]
 
 
 @pytest.mark.parametrize("num_vars", [0, 3])
@@ -496,6 +504,28 @@ def or_fold(c):
     return rows
 
 
+def renumbered(c, rng):
+    """The circuit with its nodes in a random topological order: every
+    child before its parents, but as a rule neither in the order it was
+    built in nor by height."""
+    parents = [[] for _ in range(c.node_count)]
+    left = [len(children) for children in c.children]
+    for parent, children in enumerate(c.children):
+        for child in children:
+            parents[child].append(parent)
+    ready, order = [i for i, k in enumerate(left) if k == 0], []
+    while ready:
+        node = ready.pop(rng.randrange(len(ready)))
+        order.append(node)
+        for parent in parents[node]:
+            left[parent] -= 1
+            if not left[parent]:
+                ready.append(parent)
+    return circuits._relabelled(c.kind, c.lit, c.offsets, c.flat,
+                                np.array(order, dtype=np.int64), c.root,
+                                c.num_vars, c.deterministic_by_construction)
+
+
 @pytest.mark.parametrize("group_edges", [layers.GROUP_EDGES, 3])
 def test_parse_and_smooth_level_heights_and_scope_rows(monkeypatch, rng,
                                                        tmp_path, group_edges):
@@ -529,6 +559,9 @@ def test_parse_and_smooth_level_heights_and_scope_rows(monkeypatch, rng,
     wide = [[v * rng.choice((1, -1)) for v in range(1, 71)] for _ in range(4)]
     out += built + [three_arities(), models_to_circuit(wide, 70),
                     star_circuit(70)]
+    # the same circuits in random topological orders
+    out += [renumbered(c, rng) for c in out]
+    assert sum((np.diff(frontier_heights(c)) < 0).any() for c in out) >= 40
     for path in d4_corpus(tmp_path, rng):
         parsed = parse_d4(path)
         out.append(parsed)
@@ -539,6 +572,37 @@ def test_parse_and_smooth_level_heights_and_scope_rows(monkeypatch, rng,
         assert (c._heights == frontier_heights(c)).all(), c
         assert rows.shape == (c.node_count, -(-c.num_vars // 64)), c
         assert (rows == or_fold(c)).all(), c
+
+
+def test_scope_checks_of_built_circuits_make_no_second_circuit(monkeypatch,
+                                                               rng):
+    # a built circuit out of height order is leveled in its own order: its
+    # scope checks renumber nothing and construct no Circuit (_init runs for
+    # Circuit(...) and _from_arrays alike)
+    from test_engine import three_arities  # test_engine imports this module
+    built = [three_arities()]
+    built += [random_decision_circuit(rng, range(1, 7))[0] for _ in range(10)]
+    built += [renumbered(c, rng) for c in built]
+    assert all((np.diff(frontier_heights(c)) < 0).any() for c in built[:2])
+    made = []
+    relabelled, init = circuits._relabelled, Circuit._init
+
+    def counted_relabelled(*args):
+        made.append("_relabelled")
+        return relabelled(*args)
+
+    def counted_init(self, *args):
+        made.append("_init")
+        return init(self, *args)
+
+    monkeypatch.setattr(circuits, "_relabelled", counted_relabelled)
+    monkeypatch.setattr(Circuit, "_init", counted_init)
+    for c in built:
+        c.is_smooth()
+        c.is_decomposable()
+        assert len(compute_scopes(c)) == c.node_count
+        assert c.scopes() == compute_scopes(c)
+    assert made == []
 
 
 def test_smooth_hands_over_exact_heights_where_a_wrapper_reaches_its_sum():
@@ -684,6 +748,18 @@ def test_parse_follows_chains_of_one_part_nodes(tmp_path, text, kinds, lits,
     c = parse_d4(path)
     assert (c.kinds, c.lits, c.children) == (kinds, lits, children)
     assert c.root == len(kinds) - 1
+
+
+def test_builder_sum_and_product_of_nothing_are_shared_constants():
+    b = CircuitBuilder()
+    f, t = b.sum([]), b.product(iter([]))
+    assert (b.kind_of(f), b.kind_of(t)) == (FALSE, TRUE)
+    assert (b.sum(()), b.product([]), b.false(), b.true()) == (f, t, f, t)
+    prob = make_semiring("prob")
+    for root, want in ((f, 0.0), (t, 1.0), (b.sum([f, t]), 1.0),
+                       (b.product([f, t]), 0.0)):
+        c = b.build(root)
+        assert forward(c, LiteralMap(0, 1.0), prob).root_value == want
 
 
 def test_duplicate_children_preserved():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -249,6 +250,15 @@ def test_indecater_degenerate_params_exact(example2_smooth):
     assert p_hat == amc
 
 
+def test_bernoulli_params_uniform():
+    params = BernoulliParams.uniform(3, 0.25)
+    assert params.probs == [0.25, 0.25, 0.25] and params.num_vars == 3
+    assert params.p(2) == 0.25 and params.p(-3) == 0.75
+    assert BernoulliParams.uniform(0, 0.5).num_vars == 0
+    with pytest.raises(ValueError, match="outside"):
+        BernoulliParams.uniform(2, 1.5)
+
+
 def test_indecater_empty_batch(example2_smooth):
     with pytest.raises(ValueError):
         indecater_estimate(example2_smooth, EXAMPLE_PARAMS,
@@ -260,6 +270,27 @@ def test_indecater_rejects_nonpositive_chunk(example2_smooth, chunk):
     with pytest.raises(ValueError, match=f"chunk must be positive, got {chunk}"):
         indecater_estimate(example2_smooth, EXAMPLE_PARAMS,
                            SampleBatch(seed=1, count=10, chunk=chunk))
+
+
+@pytest.mark.parametrize("count, chunk", [
+    (10.0, 4), (10, 2.5), (10, "4"), (np.float64(10), 4)],
+    ids=["float-count", "float-chunk", "str-chunk", "numpy-float-count"])
+def test_indecater_rejects_non_integer_count_or_chunk(example2_smooth, count,
+                                                      chunk):
+    message = f"must be integers, got {count!r} and {chunk!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        indecater_estimate(example2_smooth, EXAMPLE_PARAMS,
+                           SampleBatch(seed=1, count=count, chunk=chunk))
+
+
+def test_indecater_accepts_numpy_integers(example2_smooth):
+    want = indecater_estimate(example2_smooth, EXAMPLE_PARAMS,
+                              SampleBatch(seed=5, count=300, chunk=70))
+    got = indecater_estimate(example2_smooth, EXAMPLE_PARAMS,
+                             SampleBatch(seed=5, count=np.int64(300),
+                                         chunk=np.int32(70)))
+    assert got[0] == want[0]
+    assert got[1] == want[1] and got[2] == want[2]
 
 
 def test_hessian_row_example(example2_smooth):

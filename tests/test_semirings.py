@@ -1,13 +1,14 @@
 """Semiring contract tests: identities, laws, and capability soundness."""
 
 import math
+import operator
 import pickle
 import random
 
 import pytest
 
-from amckit import (ConfigError, DualValue, Polynomial, UnsupportedOperationError,
-                    logaddexp, make_semiring)
+from amckit import (ConfigError, DualValue, Polynomial, Semiring,
+                    UnsupportedOperationError, logaddexp, make_semiring)
 from amckit.semirings import LEFT, RIGHT, SEMIRING_NAMES
 
 from conftest import ALL_SEMIRINGS, floats_close, random_value
@@ -190,6 +191,25 @@ def test_poly_canonical_no_zero_terms():
     # dict-level canonical form: same polynomial from different builds
     assert Polynomial({((1, 1), (2, 1)): 2.0}) == \
         Polynomial.indeterminate(2) * Polynomial.indeterminate(1) * Polynomial.constant(2.0)
+
+
+def test_poly_coefficient():
+    p = Polynomial({((2, 1), (1, 2)): 3.0, (): 0.5})
+    assert p.coefficient([(1, 2), (2, 1)]) == 3.0
+    assert p.coefficient(((2, 1), (1, 2))) == 3.0  # in any order
+    assert p.coefficient(()) == 0.5
+    assert p.coefficient([(1, 1)]) == 0.0
+    assert Polynomial().coefficient(()) == 0.0
+
+
+def test_declared_semiring_refuses_weights_it_does_not_encode():
+    s = Semiring("max-plus", NEG_INF, 0.0, max, operator.add)
+    with pytest.raises(UnsupportedOperationError,
+                       match="'max-plus' does not accept probability weights"):
+        s.encode_prob(0.5)
+    with pytest.raises(UnsupportedOperationError,
+                       match="'max-plus' does not accept explicit literal"):
+        s.parse_value("1.0")
 
 
 def test_negation_capability():
