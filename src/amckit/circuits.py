@@ -876,20 +876,31 @@ def models_to_circuit(models, num_vars: int) -> Circuit:
     Models are iterables of signed literals, total over 1..num_vars. The
     resulting circuit is trivially smooth, decomposable, and deterministic;
     over no variables it is TRUE for the one empty model and FALSE for none.
+    Determinism is promised, not checked, so a model listed twice, one
+    that holds both v and -v, and a literal outside 1..num_vars are refused.
     """
     b = CircuitBuilder()
-    cubes = []
-    for model in models:
+    cubes, seen = [], {}  # model -> its position
+    for i, model in enumerate(models):
         got = set(model)
         cube = []
         for v in range(1, num_vars + 1):
+            if v in got and -v in got:
+                raise ValueError(f"model holds both {v} and {-v}")
             if v in got:
-                cube.append(b.literal(v))
+                cube.append(v)
             elif -v in got:
-                cube.append(b.literal(-v))
+                cube.append(-v)
             else:
                 raise ValueError(f"model misses variable {v}")
-        cubes.append(b.product(cube))
+        stray = got.difference(cube)
+        if stray:
+            raise ValueError(f"model literal {min(stray)} outside variables "
+                             f"1..{num_vars}")
+        first = seen.setdefault(tuple(cube), i)
+        if first != i:
+            raise ValueError(f"model {i} repeats model {first}")
+        cubes.append(b.product([b.literal(lit) for lit in cube]))
     root = b.sum(cubes) if cubes else b.false()
     return b.build(root, num_vars=num_vars, deterministic_by_construction=True)
 

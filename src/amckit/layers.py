@@ -3,9 +3,9 @@
 A circuit is compiled once into groups of nodes that share a height, a
 kind and an arity, split where they would exceed ``GROUP_EDGES`` edges. A
 node's height is its longest path down to a leaf (``circuits.heights_of``),
-except that a node of one parent edge moves up to just below its parent
-where nodes of its kind and arity already are: any height between the two
-keeps the order of a pass, and joining a group there adds none. Each group
+except that a node of one parent edge sits one below its parent's longest
+path: any height between the two keeps the order of a pass, and so the
+one-parent children of parents of one height share their groups. Each group
 holds a ``(arity, nodes)`` matrix of child ids, so a forward pass is one
 gather and one reduction per group in ascending height. The product groups of one
 arity are also joined, in that order, into runs of up to ``GROUP_EDGES``
@@ -244,11 +244,11 @@ class Group:
 class Layers:
     """A circuit compiled for the array engine (see the module docstring).
 
-    ``groups`` run in ascending height, each child below its parent, and
-    have only (height, kind, arity) keys that the longest-path heights
-    give. The product groups of one arity are joined, in that order, into
-    runs of at most ``GROUP_EDGES`` edges (or a group alone), each held by
-    its last group (``Group.run``). ``scatters`` holds
+    ``groups`` run in ascending height, each child below its parent: a
+    node of one parent edge at its parent's longest-path height less one,
+    any other at its own. The product groups of one arity are joined, in
+    that order, into runs of at most ``GROUP_EDGES`` edges (or a group
+    alone), each held by its last group (``Group.run``). ``scatters`` holds
     ``sat_counts``' OR plans, built on its first call. The heights come
     from ``circuits.heights_of``, and a compile computes no scope rows.
     """
@@ -265,17 +265,12 @@ class Layers:
         inner = np.flatnonzero(arity > 0)
         h, k, a = height[inner], kind[inner], arity[inner]
         # a node of one parent edge may sit at any height below its parent:
-        # lift it to just below, where nodes of its kind and arity already
-        # sit, so it joins their group. Its children stay below it, and its
-        # parent is lifted, if at all, above its own longest-path height
-        dims = [int(x.max(initial=0)) + 1 for x in (h, k, a)]
-        keys = np.ravel_multi_index((h, k, a), dims)
+        # it sits just below. Its children stay below it, and its parent
+        # is lifted, if at all, above its own longest-path height
         one = np.flatnonzero(np.bincount(flat, minlength=n)[inner] == 1)
         up = np.empty(n, dtype=np.int64)
         up[flat] = parent
-        to = height[up[inner[one]]] - 1
-        fits = np.isin(np.ravel_multi_index((to, k[one], a[one]), dims), keys)
-        h[one[fits]] = to[fits]
+        h[one] = height[up[inner[one]]] - 1
         order = np.lexsort((inner, a, k, h))
         inner, h, k, a = inner[order], h[order], k[order], a[order]
         cut = np.flatnonzero((np.diff(h) != 0) | (np.diff(k) != 0)

@@ -151,12 +151,11 @@ def _uniform_rows(seed: int, start: int, rows: int, probs):
     keyed by (seed, block index) and compared as it is drawn, so any
     chunking of the same (seed, count) sees identical draws.
     """
-    key_lo = seed & 0xFFFFFFFFFFFFFFFF
     out = np.empty((rows, len(probs)), dtype=bool)
     for blk in range(start // _SAMPLE_BLOCK,
                      (start + rows - 1) // _SAMPLE_BLOCK + 1):
         gen = np.random.Generator(
-            np.random.Philox(key=np.array([key_lo, blk], dtype=np.uint64))
+            np.random.Philox(key=np.array([seed, blk], dtype=np.uint64))
         )
         base = blk * _SAMPLE_BLOCK
         lo, hi = max(start, base), min(start + rows, base + _SAMPLE_BLOCK)
@@ -175,13 +174,21 @@ def indecater_estimate(circuit: Circuit, params: BernoulliParams,
     one bit-packed Boolean forward and backward on the circuit's compiled
     groups (``layers.sat_counts``): cost is linear in circuit size per
     64 samples, and memory is about nodes x chunk/4 bytes. Fixed seeds give
-    bit-identical results regardless of chunking.
+    bit-identical results regardless of chunking; a seed is an integer in
+    [0, 2**64), the generator's key.
     """
     try:  # numpy integers too
         total, chunk = operator.index(batch.count), operator.index(batch.chunk)
     except TypeError:
         raise ValueError(f"sample count and chunk must be integers, got "
                          f"{batch.count!r} and {batch.chunk!r}") from None
+    try:
+        seed = operator.index(batch.seed)
+    except TypeError:
+        raise ValueError(f"sample seed must be an integer, got "
+                         f"{batch.seed!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"sample seed must be in [0, 2**64), got {seed}")
     if total <= 0:
         raise ValueError("sample batch is empty")
     if chunk <= 0:
@@ -195,7 +202,7 @@ def indecater_estimate(circuit: Circuit, params: BernoulliParams,
     start = 0
     while start < total:
         rows = min(chunk, total - start)
-        r, c = sat_counts(circuit, _uniform_rows(batch.seed, start, rows, probs))
+        r, c = sat_counts(circuit, _uniform_rows(seed, start, rows, probs))
         root_count += r
         counts += c
         start += rows

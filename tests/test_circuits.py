@@ -732,6 +732,27 @@ def test_builders_refuse_literal_0_and_partial_models():
         models_to_circuit([[1, 2, 3], [-1, -3]], 3)
 
 
+TWICE_OVER_22 = [list(range(1, 23)), [-1, *range(2, 23)], list(range(1, 23))]
+
+
+@pytest.mark.parametrize("models, num_vars, message", [
+    ([[1, 2], [-1, 2], [2, 1]], 2, "model 2 repeats model 0"),
+    (TWICE_OVER_22, 22, "model 2 repeats model 0"),
+    ([[1, -1, 2]], 2, "model holds both 1 and -1"),
+    ([[1, 2, 3]], 2, "model literal 3 outside variables 1..2"),
+    ([[-1, 2, -5]], 2, "model literal -5 outside variables 1..2"),
+    ([[1, 0, 2]], 2, "model literal 0 outside variables 1..2"),
+], ids=["repeat", "repeat-over-22", "both-signs", "beyond", "beyond-negative",
+        "literal-0"])
+def test_models_to_circuit_refuses_what_breaks_its_promise(models, num_vars,
+                                                           message):
+    # the circuit is promised deterministic, so above the budget the gate
+    # trusts it: a repeated model would count twice
+    with pytest.raises(ValueError) as exc:
+        models_to_circuit(models, num_vars)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("text, kinds, lits, children", [
     # or -> or -> and, whose arc to true carries x1 and x2
     ("o 1 0\no 2 0\na 3 0\nt 4 0\n1 2 0\n2 3 0\n3 4 1 2 0\n",

@@ -292,12 +292,19 @@ def test_walk_holds_one_run_per_arity(backward, monkeypatch):
     assert peak < every_loo / 2
 
 
+def longest_path_heights(c):
+    """Each node's longest path down to a leaf, and its parent edge count."""
+    arity = np.diff(c.offsets)
+    parent = np.repeat(np.arange(c.node_count), arity)
+    height = _frontier_heights(c.node_count, parent, c.flat)
+    return height, np.bincount(c.flat, minlength=c.node_count)
+
+
 def asap_keys(c):
     """(height, kind, arity) of every inner node at its longest path down
     to a leaf: the keys of the leveling before any node is lifted."""
     arity = np.diff(c.offsets)
-    parent = np.repeat(np.arange(c.node_count), arity)
-    height = _frontier_heights(c.node_count, parent, c.flat)
+    height, _ = longest_path_heights(c)
     inner = np.flatnonzero(arity > 0)
     return set(zip(height[inner].tolist(), c.kind[inner].tolist(),
                    arity[inner].tolist()))
@@ -305,16 +312,24 @@ def asap_keys(c):
 
 def check_leveling(c):
     """Every inner node is in one group, after and above the groups of its
-    inner children, and no group has a key the longest-path leveling lacks.
-    Returns the compiled groups."""
+    inner children. A node of one parent edge sits just below its parent's
+    longest-path height, and every other inner node at its own. Returns the
+    compiled groups."""
     lay = layers.layers_of(c)
     arity = np.diff(c.offsets)
+    height, parent_edges = longest_path_heights(c)
+    placed = height.copy()
+    for p in range(c.node_count):
+        for ch in c.flat[c.offsets[p]:c.offsets[p + 1]].tolist():
+            if parent_edges[ch] == 1 and arity[ch] > 0:
+                placed[ch] = height[p] - 1
     group_of = np.full(c.node_count, -1)
     for i, g in enumerate(lay.groups):
         assert (group_of[g.ids] == -1).all()
         group_of[g.ids] = i
         assert (c.kind[g.ids] == g.kind).all()
         assert (arity[g.ids] == g.children.shape[0]).all()
+        assert (placed[g.ids] == g.height).all()
         inner_children = g.flat[arity[g.flat] > 0]
         assert (group_of[inner_children] >= 0).all()  # an earlier group
         assert all(lay.groups[j].height < g.height
@@ -325,8 +340,6 @@ def check_leveling(c):
     assert set(lay.one_ids.tolist()) <= set(leaves.tolist())
     assert [g.height for g in lay.groups] == \
         sorted(g.height for g in lay.groups)
-    keys = {(g.height, g.kind, g.children.shape[0]) for g in lay.groups}
-    assert keys <= asap_keys(c)
     return lay.groups
 
 
@@ -371,6 +384,23 @@ def test_leveling_of_gf2_embeddings(rng):
             check_leveling(learning.matrix_to_circuit(m | m.T))
 
 
+def test_gf2_cubes_sit_in_one_group_per_arity_below_the_root(rng):
+    # the cubes' shared negative runs give them longest paths of every
+    # length, but each cube has the root as its one parent
+    for n in (16, 32):
+        m = np.triu(np.array([[rng.random() < 0.5 for _ in range(n)]
+                              for _ in range(n)], dtype=np.int64))
+        c = learning.matrix_to_circuit(m | m.T)
+        groups = check_leveling(c)
+        root = c.flat[c.offsets[c.root]:c.offsets[c.root + 1]]
+        cubes = [g for g in groups if np.isin(g.ids, root).any()]
+        assert all(np.isin(g.ids, root).all() for g in cubes)
+        assert {g.height for g in cubes} == {groups[-1].height - 1}
+        arities = [g.children.shape[0] for g in cubes]
+        assert len(arities) == len(set(arities))
+        assert sum(g.ids.size for g in cubes) == root.size
+
+
 def test_leveling_of_random_decision_circuits(rng):
     for _ in range(60):
         raw, _ = random_decision_circuit(rng, [1, 2, 3, 4, 5, 6])
@@ -378,7 +408,7 @@ def test_leveling_of_random_decision_circuits(rng):
         check_leveling(smooth(raw))
 
 
-def test_leveling_lifts_a_node_of_one_parent_where_its_key_is():
+def test_leveling_puts_a_node_of_one_parent_just_below_it():
     # x1..x4; a chain of single-parent products 4 -> 5 -> 6, the product 7
     # of one parent (the root) three heights below it, the sum 8 of one
     # parent, and the unreachable product 9
@@ -388,9 +418,9 @@ def test_leveling_lifts_a_node_of_one_parent_where_its_key_is():
                  (0, 1), (6, 7, 8)], 10, 4)
     groups = check_leveling(c)
     by_height = sorted((g.height, sorted(g.ids.tolist())) for g in groups)
-    # 7 joins the chain's product at height 3; the sum 8 has no sum at
-    # height 3 to join, and the unreachable 9 no parent
-    assert by_height == [(1, [4, 9]), (1, [8]), (2, [5]), (3, [6, 7]),
+    # 7 joins the chain's product at height 3, the sum 8 sits there alone,
+    # and the unreachable 9 has no parent to sit below
+    assert by_height == [(1, [4, 9]), (2, [5]), (3, [6, 7]), (3, [8]),
                          (4, [10])]
     prob = make_semiring("prob")
     labels = labeling("prob", c, [0.3, 0.6, 0.7, 0.2] + [0.5] * 4 + [1.0] * 8)

@@ -293,6 +293,35 @@ def test_indecater_accepts_numpy_integers(example2_smooth):
     assert got[1] == want[1] and got[2] == want[2]
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", np.float64(7)],
+                         ids=["float", "str", "numpy-float"])
+def test_indecater_rejects_non_integer_seed(example2_smooth, seed):
+    message = f"sample seed must be an integer, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        indecater_estimate(example2_smooth, EXAMPLE_PARAMS,
+                           SampleBatch(seed=seed, count=10))
+
+
+@pytest.mark.parametrize("seed", [-1, -2 ** 64, 2 ** 64, 2 ** 70],
+                         ids=["-1", "-2**64", "2**64", "2**70"])
+def test_indecater_rejects_seeds_beyond_the_key(example2_smooth, seed):
+    # the generator is keyed by 64 bits: masked, these seeds would draw
+    # the samples of seed 0 or of seed 2**64 - 1
+    message = f"sample seed must be in [0, 2**64), got {seed}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        indecater_estimate(example2_smooth, EXAMPLE_PARAMS,
+                           SampleBatch(seed=seed, count=10))
+
+
+def test_indecater_accepts_every_seed_of_the_key(example2_smooth):
+    for seed in (0, 2 ** 64 - 1):
+        want = indecater_estimate(example2_smooth, EXAMPLE_PARAMS,
+                                  SampleBatch(seed=seed, count=100))
+        got = indecater_estimate(example2_smooth, EXAMPLE_PARAMS,
+                                 SampleBatch(seed=np.uint64(seed), count=100))
+        assert got[0] == want[0] and got[1] == want[1]
+
+
 def test_hessian_row_example(example2_smooth):
     row_x = hessian_row(example2_smooth, EXAMPLE_PARAMS, 1)
     assert abs(row_x.get(3) - 1.0) < 1e-12
